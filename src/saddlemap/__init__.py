@@ -25,6 +25,7 @@ from .errors import (
     TetherResidualError,
 )
 from .geometry import (
+    ChartGeometry,
     ChristoffelSymbols,
     CovariantHessian,
     GADState,
@@ -47,7 +48,6 @@ from .regression import (
     RegressorModel,
     fit,
     fit_with_nugget_selection,
-    predict_with_derivatives,
     score,
 )
 from .sampling import (

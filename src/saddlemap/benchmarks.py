@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import ProblemDefinition
-from .geometry import ChristoffelSymbols, CovariantHessian, MetricTensor
+from .geometry import ChartGeometry, ChristoffelSymbols, CovariantHessian, MetricTensor
 
 # ---------------------------------------------------------------------------
 # sphere with E = x1 x2 x3
@@ -57,7 +57,7 @@ class StereographicSphereChart:
 
     Chart map phi(x) = (x1, x2) / (1 - x3); everything downstream of the
     parameterization (metric, connection, gradient, Hessian) in the exact
-    algebraic form. Provides the same evaluation surface as the learned
+    algebraic form. Implements the same ``evaluate`` as the learned
     GeometryField so the driver can run in oracle mode.
     """
 
@@ -137,8 +137,7 @@ class StereographicSphereChart:
         d = (4.0 * u1 * u2 * (u2 ** 4 - 11.0 * u2 ** 2 - u1 ** 4 - u1 ** 2 + 6.0)) / den
         return np.array([[a, b], [b, d]])
 
-    def covariant_hessian(self, u: np.ndarray, g: MetricTensor | None = None,
-                          gamma: ChristoffelSymbols | None = None) -> CovariantHessian:
+    def covariant_hessian(self, u: np.ndarray, g: MetricTensor | None = None) -> CovariantHessian:
         if g is None:
             g = self.metric(u)
         h_mixed = self.hessian_mixed(u)
@@ -146,21 +145,17 @@ class StereographicSphereChart:
         h_lower = 0.5 * (h_lower + h_lower.T)
         return CovariantHessian(h_lower=h_lower, h_mixed=g.g_inv @ h_lower)
 
-    def ambient(self, u: np.ndarray) -> np.ndarray:
-        return self.psi(u)
-
-
-def sphere_exact_chart_eval(u: np.ndarray):
-    """All Example-chart closed forms at one chart point."""
-    chart = StereographicSphereChart()
-    u = np.asarray(u, dtype=float)
-    return (
-        chart.psi(u),
-        chart.metric(u),
-        chart.christoffel(u),
-        chart.gradient(u),
-        chart.covariant_hessian(u),
-    )
+    def evaluate(self, u: np.ndarray) -> ChartGeometry:
+        """Every quantity an integration step needs, from the closed forms."""
+        u = np.asarray(u, dtype=float)
+        g = self.metric(u)
+        return ChartGeometry(
+            ambient=self.psi(u),
+            metric=g,
+            christoffel=self.christoffel(u),
+            force=self.force(u),
+            hessian=self.covariant_hessian(u, g=g),
+        )
 
 
 def sphere_problem() -> ProblemDefinition:

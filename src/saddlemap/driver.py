@@ -23,14 +23,7 @@ from .errors import (
     NonFiniteEvaluationError,
     TetherResidualError,
 )
-from .geometry import (
-    GeometryField,
-    christoffel,
-    covariant_hessian_from_force,
-    isd_field,
-    metric_from_jacobian,
-    smallest_eigpair,
-)
+from .geometry import GeometryField, isd_field, smallest_eigpair
 from .regression import ChartPair, RegressorModel, fit_with_nugget_selection
 from .sampling import SamplerConfig, TetherConfig, invert_chart_via_tether, sample_cloud
 
@@ -51,7 +44,7 @@ class ProblemDefinition:
     ``force`` is the manifold-tangent negative gradient; ``project`` the
     closest-point projection used to keep samples on the manifold.
     ``exact_chart`` optionally provides closed-form chart machinery for
-    oracle mode.
+    oracle mode: ``phi``, ``psi`` and the ``evaluate`` of GeometryField.
     """
 
     ambient_dim: int
@@ -111,11 +104,14 @@ class SearchTrajectory:
 
 @dataclass
 class LocalChart:
-    """Everything learned for one iteration: maps, geometry, cloud."""
+    """Everything one iteration integrates on: maps, geometry, cloud.
 
-    chart: ChartPair
-    geometry: GeometryField
-    chart_force: RegressorModel
+    The learned chart carries its ChartPair and cloud; the exact chart of
+    oracle mode carries neither and has an infinite trust radius.
+    """
+
+    chart: Optional[ChartPair]
+    geometry: object  # anything with GeometryField.evaluate
     cloud: Optional[PointCloud]
     trust_radius: float = np.inf
     _tree: Optional[cKDTree] = None
@@ -210,42 +206,17 @@ def build_local_chart(
         max_trial_points=cfg.max_trial_points,
     )
 
-    def psi_derivatives(u):
-        return psi.predict_with_derivatives(u, order=2)
-
-    def force_derivatives(u):
-        x_amb, jac_psi, _ = psi.predict_with_derivatives(u, order=1)
-        y, jac_amb, _ = chart_force.predict_with_derivatives(x_amb, order=1)
-        return y, jac_amb @ jac_psi
-
-    geometry = GeometryField(psi_derivatives, force_derivatives)
-
     tree = cKDTree(points)
     nn = tree.query(points, k=2)[0][:, 1]
     trust_radius = cfg.trust_factor * float(np.median(nn))
 
     return LocalChart(
         chart=ChartPair(phi=phi, psi=psi, chart_samples=chart_samples),
-        geometry=geometry,
-        chart_force=chart_force,
+        geometry=GeometryField(psi, chart_force),
         cloud=cloud,
         trust_radius=trust_radius,
         _tree=tree,
     )
-
-
-class _ExactChartAdapter:
-    """Presents closed-form chart machinery through the LocalChart surface."""
-
-    def __init__(self, exact_chart):
-        self.exact = exact_chart
-        self.geometry = exact_chart
-        self.trust_radius = np.inf
-        self.cloud = None
-        self.chart_force = None
-
-    def distance_to_cloud(self, x):
-        return 0.0
 
 
 def check_convergence(force_norm: float, spectrum: np.ndarray, cfg: DriverConfig) -> bool:
@@ -259,9 +230,7 @@ def check_convergence(force_norm: float, spectrum: np.ndarray, cfg: DriverConfig
 
 
 def integrate_isd_on_chart(
-    chart,
     geometry,
-    chart_force,
     u0: np.ndarray,
     cloud,
     cfg: DriverConfig,
@@ -271,10 +240,11 @@ def integrate_isd_on_chart(
 ) -> IterationRecord:
     """Explicit-Euler integration of the reflected force field on one chart.
 
-    Stops on the index-1 convergence certificate, on leaving the sampled
-    region (distance from psi(u) to the nearest cloud point exceeding the
-    trust radius), or on the step budget. Geometry failures mid-trajectory
-    close the record with exit reason 'degenerate'.
+    ``geometry`` is anything with GeometryField's ``evaluate``, called once
+    per step. Stops on the index-1 convergence certificate, on leaving the
+    sampled region (distance from psi(u) to the nearest cloud point
+    exceeding the trust radius), or on the step budget. Geometry failures
+    mid-trajectory close the record with exit reason 'degenerate'.
     """
     u = np.asarray(u0, dtype=float)
     record = IterationRecord(
@@ -293,16 +263,13 @@ def integrate_isd_on_chart(
         try:
             if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e8:
                 raise DegenerateChartError(f"chart coordinates diverged at step {step}")
-            g = geometry.metric(u)
-            gamma = geometry.christoffel(u)
-            y = geometry.force(u)
-            hess = geometry.covariant_hessian(u, g=g, gamma=gamma)
-            lam, v, spectrum = smallest_eigpair(hess, g, prev_v=prev_v)
-            x_amb = geometry.ambient(u)
+            geo = geometry.evaluate(u)
+            lam, v, spectrum = smallest_eigpair(geo.hessian, geo.metric, prev_v=prev_v)
         except (DegenerateChartError, NonFiniteEvaluationError):
             record.exit_reason = EXIT_DEGENERATE
             break
         prev_v = v
+        g, y, x_amb = geo.metric, geo.force, geo.ambient
         force_norm = g.norm(y)
         record.chart_trajectory.append(u.copy())
         record.ambient_trajectory.append(np.asarray(x_amb, dtype=float))
@@ -390,7 +357,7 @@ def run_search(
 
     for iteration in range(1, cfg.n_iterations_max + 1):
         if mode == "exact_chart":
-            local = _ExactChartAdapter(problem.exact_chart)
+            local = LocalChart(chart=None, geometry=problem.exact_chart, cloud=None)
             u0 = problem.exact_chart.phi(x)
         else:
             local = None
@@ -406,15 +373,13 @@ def run_search(
             u0 = local.chart.phi.predict(x)
 
         record = integrate_isd_on_chart(
-            getattr(local, "chart", None),
             local.geometry,
-            local.chart_force,
             u0,
             local.cloud,
             dataclasses.replace(cfg, tol_force=chart_tol),
             iteration=iteration,
             trust_radius=local.trust_radius,
-            distance_to_cloud=local.distance_to_cloud if local.cloud is not None else None,
+            distance_to_cloud=local.distance_to_cloud,
         )
         records.append(record)
 

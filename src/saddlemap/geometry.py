@@ -238,7 +238,7 @@ def sharp_flat(vec_or_covec: Vector, g: MetricTensor, direction: str) -> Vector:
 
 
 def covariant_hessian_from_force(
-    force_field: Callable[[np.ndarray], np.ndarray],
+    force_field: Optional[Callable[[np.ndarray], np.ndarray]],
     gamma: ChristoffelSymbols,
     g: MetricTensor,
     u: np.ndarray,
@@ -254,7 +254,8 @@ def covariant_hessian_from_force(
 
     which is (Hess U)^i_j = (nabla_j grad U)^i. The (0,2) form is
     symmetrized because a regressed Y is not an exact gradient, while the
-    true covariant Hessian of a scalar is symmetric.
+    true covariant Hessian of a scalar is symmetric. ``force_field`` may be
+    None when both ``force_value`` and ``force_jacobian`` are supplied.
     """
     u = _as_vector(u)
     d = u.shape[0]
@@ -334,51 +335,69 @@ def geodesic_rhs(u: np.ndarray, du: Vector, gamma: ChristoffelSymbols) -> Vector
     return -np.einsum("ljk,j,k->l", gamma.gamma, du, du)
 
 
+@dataclass(frozen=True)
+class ChartGeometry:
+    """Everything one integration step needs at a chart point."""
+
+    ambient: np.ndarray
+    metric: MetricTensor
+    christoffel: ChristoffelSymbols
+    force: np.ndarray
+    hessian: CovariantHessian
+
+
+def _metric_jacobian(jac: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """d g_ij / d u^k of g = Dpsi^T Dpsi from the parameterization's derivatives."""
+    # dg[i,j,k] = sum_c (d2 psi_c / du_k du_i) (d psi_c / du_j) + (i <-> j)
+    term = np.einsum("cki,cj->ijk", second, jac)
+    return term + term.transpose(1, 0, 2)
+
+
 class GeometryField:
-    """Metric, connection, force, and covariant Hessian over a whole chart.
+    """Metric, connection, force, and covariant Hessian over a learned chart.
 
-    Wraps two callables and derives every geometric quantity analytically:
-
-    * ``psi_derivatives(u) -> (value, jacobian, second)`` for the
-      parameterization (second derivatives indexed [output, i, j]),
-    * ``force_derivatives(u) -> (value, jacobian)`` for the chart force.
+    Built from two regressors with ``predict_with_derivatives``: the
+    parameterization ``psi`` (chart -> ambient) and ``chart_force`` (ambient
+    point -> chart components of the force). :meth:`evaluate` derives every
+    geometric quantity analytically from one order-2 prediction of psi and
+    one order-1 prediction of the chart force at psi(u); the force Jacobian
+    is composed by the chain rule.
 
     All outputs are pure functions of u; instances hold no mutable state.
     """
 
-    def __init__(self, psi_derivatives, force_derivatives):
-        self._psi = psi_derivatives
-        self._force = force_derivatives
+    def __init__(self, psi, chart_force):
+        self.psi = psi
+        self.chart_force = chart_force
 
+    def evaluate(self, u: np.ndarray) -> ChartGeometry:
+        x_amb, jac_psi, second = self.psi.predict_with_derivatives(u, order=2)
+        g = metric_from_jacobian(jac_psi)
+        dg = _metric_jacobian(jac_psi, second)
+        gamma = christoffel(lambda _: g, u, metric_jacobian=lambda _: dg)
+        y, jac_amb, _ = self.chart_force.predict_with_derivatives(x_amb, order=1)
+        hess = covariant_hessian_from_force(
+            None, gamma, g, u, force_jacobian=jac_amb @ jac_psi, force_value=y
+        )
+        return ChartGeometry(ambient=x_amb, metric=g, christoffel=gamma, force=y, hessian=hess)
+
+    # single-quantity views for tests and callers that need one tensor;
+    # perfbench/worker.py also looks these names up to trace them
     def ambient(self, u: np.ndarray) -> np.ndarray:
-        value, _, _ = self._psi(u)
-        return value
+        return self.evaluate(u).ambient
 
     def metric(self, u: np.ndarray) -> MetricTensor:
-        _, jac, _ = self._psi(u)
-        return metric_from_jacobian(jac)
+        return self.evaluate(u).metric
 
     def metric_jacobian(self, u: np.ndarray) -> np.ndarray:
-        """d g_ij / d u^k from the parameterization's second derivatives."""
-        _, jac, second = self._psi(u)
-        # dg[i,j,k] = sum_c (d2 psi_c / du_k du_i) (d psi_c / du_j) + (i <-> j)
-        term = np.einsum("cki,cj->ijk", second, jac)
-        return term + term.transpose(1, 0, 2)
+        _, jac, second = self.psi.predict_with_derivatives(u, order=2)
+        return _metric_jacobian(jac, second)
 
     def christoffel(self, u: np.ndarray) -> ChristoffelSymbols:
-        return christoffel(self.metric, u, metric_jacobian=self.metric_jacobian)
+        return self.evaluate(u).christoffel
 
     def force(self, u: np.ndarray) -> np.ndarray:
-        value, _ = self._force(u)
-        return value
+        return self.evaluate(u).force
 
-    def covariant_hessian(self, u: np.ndarray, g: Optional[MetricTensor] = None,
-                          gamma: Optional[ChristoffelSymbols] = None) -> CovariantHessian:
-        if g is None:
-            g = self.metric(u)
-        if gamma is None:
-            gamma = self.christoffel(u)
-        value, jac = self._force(u)
-        return covariant_hessian_from_force(
-            lambda q: self._force(q)[0], gamma, g, u, force_jacobian=jac
-        )
+    def covariant_hessian(self, u: np.ndarray) -> CovariantHessian:
+        return self.evaluate(u).hessian

@@ -8,6 +8,7 @@ its recomputation.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -134,13 +135,6 @@ def kernel_factorization(kernel: np.ndarray, nugget: float):
         ) from exc
 
 
-def predict_with_derivatives(
-    model: RegressorModel, x: np.ndarray, order: int = 2
-) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Module-level alias of :meth:`RegressorModel.predict_with_derivatives`."""
-    return model.predict_with_derivatives(x, order=order)
-
-
 def score(model: RegressorModel, test_inputs: np.ndarray, test_targets: np.ndarray) -> float:
     """Coefficient of determination averaged over output components.
 
@@ -207,7 +201,9 @@ def fit_with_nugget_selection(
 
     Trial fits run on an 80/20 split (optionally capped at
     ``max_trial_points`` rows for large clouds); the winning nugget is then
-    refit on the full data. Raises ChartFitError when no nugget on the ladder
+    refit on the full data. ``factorization_cache`` shares the full-data
+    Cholesky factor between fits of different targets on the same inputs,
+    bandwidth and nugget. Raises ChartFitError when no nugget on the ladder
     reaches the target.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -243,11 +239,14 @@ def fit_with_nugget_selection(
     nugget, r2 = best
     factorization = None
     if factorization_cache is not None:
-        factorization = factorization_cache.get(nugget)
+        # a factor belongs to one system: the same rows, bandwidth and nugget
+        cache_key = (nugget, float(eps), inputs.shape,
+                     hashlib.blake2b(inputs.tobytes(), digest_size=16).digest())
+        factorization = factorization_cache.get(cache_key)
     if factorization is None:
         kernel = reuse_kernel if reuse_kernel is not None else gaussian_kernel(inputs, inputs, eps)
         factorization = kernel_factorization(np.asarray(kernel), nugget)
         if factorization_cache is not None:
-            factorization_cache[nugget] = factorization
+            factorization_cache[cache_key] = factorization
     full = fit(inputs, targets, eps, nugget, reuse_kernel=reuse_kernel, factorization=factorization)
     return full, r2

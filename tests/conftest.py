@@ -9,15 +9,7 @@ from saddlemap.geometry import GeometryField
 
 def quadratic_saddle_field() -> GeometryField:
     """Exact identity chart of U = u1^2 - u2^2 on the flat plane."""
-
-    def psi_derivatives(u):
-        return np.asarray(u, dtype=float), np.eye(2), np.zeros((2, 2, 2))
-
-    def force_derivatives(u):
-        u = np.asarray(u, dtype=float)
-        return np.array([-2.0 * u[0], 2.0 * u[1]]), np.array([[-2.0, 0.0], [0.0, 2.0]])
-
-    return GeometryField(psi_derivatives, force_derivatives)
+    return GeometryField(LinearChartStub(np.eye(2)), LinearChartStub(np.diag([-2.0, 2.0])))
 
 
 def flat_problem(dim: int = 2, force=None) -> ProblemDefinition:

@@ -15,6 +15,7 @@ from saddlemap.driver import (
     integrate_isd_on_chart,
     run_search,
 )
+from saddlemap.regression import RegressorModel
 from saddlemap.sampling import SamplerConfig
 
 from conftest import quadratic_saddle_field
@@ -56,7 +57,7 @@ class TestIntegrateOnSyntheticChart:
         # over 1000 steps the norm contracts below 1e-3 from (0.5, 0.5)
         field = quadratic_saddle_field()
         cfg = small_cfg(n_ode_steps=1000, ode_dt=3.5e-3, tol_force=1e-12)
-        rec = integrate_isd_on_chart(None, field, None, np.array([0.5, 0.5]), None, cfg)
+        rec = integrate_isd_on_chart(field, np.array([0.5, 0.5]), None, cfg)
         assert rec.exit_reason == EXIT_STEP_BUDGET
         assert np.linalg.norm(rec.chart_trajectory[-1]) < 1e-3
         expected = np.linalg.norm([0.5, 0.5]) * (1.0 - 2.0 * 3.5e-3) ** 1000
@@ -65,7 +66,7 @@ class TestIntegrateOnSyntheticChart:
     def test_starts_converged_at_saddle(self):
         field = quadratic_saddle_field()
         cfg = small_cfg(tol_force=1e-8)
-        rec = integrate_isd_on_chart(None, field, None, np.zeros(2), None, cfg)
+        rec = integrate_isd_on_chart(field, np.zeros(2), None, cfg)
         assert rec.exit_reason == EXIT_CONVERGED
         assert len(rec.chart_trajectory) == 1
         assert rec.lambda_min == pytest.approx(-2.0)
@@ -74,7 +75,7 @@ class TestIntegrateOnSyntheticChart:
     def test_records_are_consistent(self):
         field = quadratic_saddle_field()
         cfg = small_cfg(n_ode_steps=50, ode_dt=1e-3, tol_force=1e-12)
-        rec = integrate_isd_on_chart(None, field, None, np.array([0.2, 0.1]), None, cfg)
+        rec = integrate_isd_on_chart(field, np.array([0.2, 0.1]), None, cfg)
         assert len(rec.chart_trajectory) == 51
         assert len(rec.ambient_trajectory) == 51
         assert len(rec.step_force_norms) == 51
@@ -120,6 +121,26 @@ class TestBuildLocalChart:
         err = np.linalg.norm(back - pts, axis=1)
         diam = np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1)) * 2.0
         assert np.mean(err < 0.05 * diam) >= 0.95
+
+
+class TestLearnedStep:
+    def test_two_predictions_per_step(self, monkeypatch):
+        # one order-2 psi prediction and one order-1 chart-force prediction
+        base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
+        local = build_local_chart(SPHERE, base, small_cfg())
+        u0 = local.chart.phi.predict(base)
+        calls = []
+        predict = RegressorModel.predict_with_derivatives
+
+        def counting(self, x, order=2):
+            calls.append(order)
+            return predict(self, x, order=order)
+
+        monkeypatch.setattr(RegressorModel, "predict_with_derivatives", counting)
+        rec = integrate_isd_on_chart(local.geometry, u0, local.cloud, small_cfg(n_ode_steps=1))
+        assert rec.exit_reason == EXIT_STEP_BUDGET
+        assert len(rec.chart_trajectory) == 2
+        assert sorted(calls) == [1, 1, 2, 2]
 
 
 class TestRunSearch:

@@ -193,6 +193,51 @@ class TestChristoffel:
             assert np.max(np.abs(fd.gamma - analytic.gamma)) < 5e-6
 
 
+class TestEvaluate:
+    """``evaluate`` is the free-function composition, bit for bit."""
+
+    def test_learned_chart_matches_free_functions(self):
+        from saddlemap.driver import DriverConfig, build_local_chart
+        from saddlemap.sampling import SamplerConfig
+
+        base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
+        cfg = DriverConfig(sampler=SamplerConfig(n_samples=500, perturbation_scale=0.15, seed=0), seed=0)
+        local = build_local_chart(benchmarks.sphere_problem(), base, cfg)
+        psi, chart_force = local.chart.psi, local.geometry.chart_force
+        for q in local.cloud.points[::50]:
+            u = local.chart.phi.predict(q)
+            x_amb, jac, second = psi.predict_with_derivatives(u, order=2)
+            g = metric_from_jacobian(jac)
+            term = np.einsum("cki,cj->ijk", second, jac)
+            gamma = christoffel(lambda _: g, u, metric_jacobian=lambda _: term + term.transpose(1, 0, 2))
+            # the force side as composed before evaluate existed: an order-1 psi call
+            x_1, jac_1, _ = psi.predict_with_derivatives(u, order=1)
+            y, jac_amb, _ = chart_force.predict_with_derivatives(x_1, order=1)
+            hess = covariant_hessian_from_force(
+                None, gamma, g, u, force_jacobian=jac_amb @ jac_1, force_value=y
+            )
+            geo = local.geometry.evaluate(u)
+            assert np.array_equal(geo.ambient, x_amb)
+            assert np.array_equal(geo.metric.g, g.g)
+            assert np.array_equal(geo.metric.g_inv, g.g_inv)
+            assert np.array_equal(geo.christoffel.gamma, gamma.gamma)
+            assert np.array_equal(geo.force, y)
+            assert np.array_equal(geo.hessian.h_lower, hess.h_lower)
+            assert np.array_equal(geo.hessian.h_mixed, hess.h_mixed)
+
+    def test_exact_chart_matches_closed_forms(self, rng):
+        for _ in range(10):
+            u = rng.uniform(-2, 2, 2)
+            geo = CHART.evaluate(u)
+            assert np.array_equal(geo.ambient, CHART.psi(u))
+            assert np.array_equal(geo.metric.g, CHART.metric(u).g)
+            assert np.array_equal(geo.metric.g_inv, CHART.metric(u).g_inv)
+            assert np.array_equal(geo.christoffel.gamma, CHART.christoffel(u).gamma)
+            assert np.array_equal(geo.force, CHART.force(u))
+            assert np.array_equal(geo.hessian.h_lower, CHART.covariant_hessian(u).h_lower)
+            assert np.array_equal(geo.hessian.h_mixed, CHART.covariant_hessian(u).h_mixed)
+
+
 class TestSharpFlat:
     def test_polar_gradient(self):
         g = metric_tensor(np.diag([1.0, 4.0]))  # polar metric at r = 2

@@ -8,7 +8,6 @@ from saddlemap.regression import (
     ChartPair,
     fit,
     fit_with_nugget_selection,
-    predict_with_derivatives,
     score,
 )
 
@@ -102,13 +101,6 @@ class TestDerivatives:
         model = fit(x, x, eps=0.05, nugget=1e-10)
         assert model.predict(np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-3)
 
-    def test_module_level_alias(self, rng):
-        model = self._model(rng)
-        x = rng.uniform(-0.5, 0.5, 3)
-        v1 = predict_with_derivatives(model, x, order=0)[0]
-        v2 = model.predict_with_derivatives(x, order=0)[0]
-        assert np.array_equal(v1, v2)
-
 
 class TestScore:
     def test_perfect_prediction(self, rng):
@@ -175,6 +167,23 @@ class TestNuggetSelection:
         model, r2 = fit_with_nugget_selection(x, y, eps=0.4, rng=rng)
         assert model.nugget == 1e-8
         assert r2 >= 0.99
+
+    def test_cache_keeps_systems_apart(self, rng):
+        # two input sets of one size that pick the same nugget share a
+        # cache; each model must still solve its own kernel system
+        def target(x):
+            return np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
+
+        cache: dict = {}
+        models = []
+        for x in (rng.uniform(-1, 1, (120, 2)), rng.uniform(-1, 1, (120, 2))):
+            cached, _ = fit_with_nugget_selection(
+                x, target(x), eps=0.4, rng=np.random.default_rng(7), factorization_cache=cache
+            )
+            fresh, _ = fit_with_nugget_selection(x, target(x), eps=0.4, rng=np.random.default_rng(7))
+            assert np.array_equal(cached.weights, fresh.weights)
+            models.append(cached)
+        assert models[0].nugget == models[1].nugget
 
     def test_unreachable_target_raises(self, rng):
         x = rng.uniform(-1, 1, (60, 1))
