@@ -413,6 +413,20 @@ def sphere_start_point(report: CriticalPointReport | None = None) -> np.ndarray:
     return minima[np.argmin(np.linalg.norm(minima - target, axis=1))]
 
 
+def sphere_search_start(report: CriticalPointReport | None = None) -> np.ndarray:
+    """Reactant of the sphere search: the starting sink moved 0.2 along the
+    e1 tangent, then projected back onto the sphere.
+
+    The search cannot start at the sink itself: the force vanishes there and
+    the covariant Hessian is isotropic, so gentlest ascent has no field and
+    no softest mode to leave by.
+    """
+    sink = sphere_start_point(report)
+    tangent = np.array([1.0, 0.0, 0.0]) - sink[0] * sink
+    tangent /= np.linalg.norm(tangent)
+    return sphere_project(sink + 0.2 * tangent)
+
+
 def mb_start_point(report: CriticalPointReport | None = None) -> np.ndarray:
     """Starting sink of the surface run: the rightmost minimum.
 

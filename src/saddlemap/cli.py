@@ -37,8 +37,8 @@ PROBLEM_DEFAULTS = {
         "driver": {
             "n_iterations_max": 12,
             "n_ode_steps": 1000,
-            "ode_dt": 1e-4,
-            "tol_force": 1e-4,
+            "ode_dt": 1e-3,
+            "tol_force": 1e-3,
             "seed": 0,
         },
         "sampler": {
@@ -117,7 +117,7 @@ def _problem_bundle(name: str):
     if name == "sphere":
         problem = benchmarks.sphere_problem()
         report = benchmarks.sphere_critical_points()
-        start = benchmarks.sphere_start_point(report)
+        start = benchmarks.sphere_search_start(report)
     else:
         problem = benchmarks.surface_problem()
         report = benchmarks.mb_surface_critical_points()

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
-from scipy.spatial.distance import pdist
 
 from .errors import DegenerateChartError
-from .kernels import gaussian_kernel
+from .kernels import gaussian_kernel, squared_distances
 
 # Dense eigendecomposition below this size; Lanczos with a fixed start
 # vector above it (determinism requires pinning v0).
 _DENSE_EIG_MAX = 1500
+# rows per block when scaling an N x N matrix by an outer product in place
+_ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -62,18 +63,62 @@ class DiffusionMapResult:
     kernel: np.ndarray         # (N, N) pre-normalization Gaussian kernel
 
 
+def median_bandwidth(sq: np.ndarray) -> float:
+    """Squared median of the pairwise distances whose squares fill ``sq``.
+
+    Reads the strict upper triangle of a symmetric (N, N) squared-distance
+    matrix. The square root is monotone, so the middle order statistics of
+    the squares sit where those of the distances do; the median is then the
+    mean of their square roots, as ``np.median(pdist(x))`` computes it, and
+    the result equals ``np.median(pdist(x)) ** 2`` bit for bit.
+    """
+    n = sq.shape[0]
+    if n < 2:
+        raise ValueError("median bandwidth needs at least two points")
+    # copied row by row: np.triu_indices would allocate two int64 index
+    # arrays, each as large as the copy itself
+    upper = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        row = sq[i, i + 1:]
+        upper[start:start + row.size] = row
+        start += row.size
+    half = upper.size // 2
+    low = half if upper.size % 2 else half - 1
+    upper.partition((low, half))
+    med = np.mean(np.sqrt(upper[low:half + 1]))
+    return float(med ** 2)
+
+
 def bandwidth_median_rule(points: np.ndarray) -> float:
     """Squared median of the pairwise Euclidean distances."""
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
-    if points.shape[0] < 2:
-        raise ValueError("median bandwidth needs at least two points")
-    med = np.median(pdist(points))
-    return float(med ** 2)
+    return median_bandwidth(squared_distances(points, points))
 
 
-def diffusion_maps(points: np.ndarray, eps: float, n_components: int) -> DiffusionMapResult:
+def markov_conjugate(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric conjugate of the alpha=1 Markov operator of ``kernel``.
+
+    With q the kernel's row sums, K_alpha = K / (q q^T) and d its row sums,
+    returns (S, d^-1/2) for S = diag(d^-1/2) K_alpha diag(d^-1/2). S is built
+    in one new N x N buffer, and it is exactly symmetric when K is: each
+    entry is a product of the same commuting factors for (i, j) and (j, i).
+    """
+    q = kernel.sum(axis=1)
+    sym = np.outer(q, q)
+    np.divide(kernel, sym, out=sym)
+    d_isqrt = 1.0 / np.sqrt(sym.sum(axis=1))
+    for start in range(0, sym.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        sym[rows] *= np.outer(d_isqrt[rows], d_isqrt)
+    return sym, d_isqrt
+
+
+def diffusion_maps(
+    points: np.ndarray, eps: float, n_components: int, sq: np.ndarray | None = None
+) -> DiffusionMapResult:
     """Density-normalized diffusion-map embedding.
 
     Pipeline: Gaussian kernel K -> alpha=1 density normalization -> Markov
@@ -81,6 +126,9 @@ def diffusion_maps(points: np.ndarray, eps: float, n_components: int) -> Diffusi
     are scaled to ||psi||_2 = sqrt(N) (entries O(1) independent of N) with a
     permutation-covariant sign convention, and the embedding uses diffusion
     time 1: coordinate i = lambda_i * psi_i.
+
+    ``sq`` may carry the points' squared-distance matrix; it is overwritten
+    in place with the kernel (see :func:`gaussian_kernel`).
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -89,14 +137,8 @@ def diffusion_maps(points: np.ndarray, eps: float, n_components: int) -> Diffusi
     if not 0 < n_components < n:
         raise ValueError(f"need 0 < n_components < N, got {n_components} of {n}")
 
-    kernel = gaussian_kernel(points, points, eps)
-
-    q = kernel.sum(axis=1)
-    k_alpha = kernel / np.outer(q, q)
-    d_alpha = k_alpha.sum(axis=1)
-    d_isqrt = 1.0 / np.sqrt(d_alpha)
-    sym = k_alpha * np.outer(d_isqrt, d_isqrt)
-    sym = 0.5 * (sym + sym.T)
+    kernel = gaussian_kernel(points, points, eps, sq=sq)
+    sym, d_isqrt = markov_conjugate(kernel)
 
     k_eig = n_components + 1
     if n <= _DENSE_EIG_MAX:

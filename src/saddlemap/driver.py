@@ -16,7 +16,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import regression
-from .dimred import PointCloud, bandwidth_median_rule, diffusion_maps, select_chart_components
+# bandwidth_median_rule is not called here; perfbench/worker.py traces the
+# chart build by wrapping layer functions under their names in this module
+from .dimred import (  # noqa: F401
+    PointCloud,
+    bandwidth_median_rule,
+    diffusion_maps,
+    median_bandwidth,
+    select_chart_components,
+)
 from .errors import (
     ChartFitError,
     DegenerateChartError,
@@ -24,6 +32,7 @@ from .errors import (
     TetherResidualError,
 )
 from .geometry import GeometryField, isd_field, smallest_eigpair
+from .kernels import squared_distances
 from .regression import ChartPair, RegressorModel, fit_with_nugget_selection
 from .sampling import SamplerConfig, TetherConfig, invert_chart_via_tether, sample_cloud
 
@@ -138,38 +147,36 @@ def _pushforward_at_samples(phi: RegressorModel, cloud: PointCloud, kernel: np.n
     n = points.shape[0]
     out = np.empty((n, phi.weights.shape[1]))
     block = 1024
+    # one block-sized buffer, updated in place
+    buffer = np.empty((min(block, n), n))
     for start in range(0, n, block):
         stop = min(start + block, n)
         x_blk = points[start:stop]
         f_blk = forces[start:stop]
         row_dot = np.sum(x_blk * f_blk, axis=1)
-        s = row_dot[:, None] - f_blk @ points.T
-        out[start:stop] = -(kernel[start:stop] * s) @ phi.weights / eps
+        s = np.matmul(f_blk, points.T, out=buffer[:stop - start])
+        np.subtract(row_dot[:, None], s, out=s)
+        np.multiply(kernel[start:stop], s, out=s)
+        out[start:stop] = -(s @ phi.weights) / eps
     return out
 
 
-def build_local_chart(
-    problem: ProblemDefinition,
-    base: np.ndarray,
-    cfg: DriverConfig,
-    iteration: int = 1,
-    attempt: int = 0,
-) -> LocalChart:
-    """Sample a cloud around ``base`` and learn chart, force field, geometry.
+def _fit_chart_map_and_force(
+    cloud: PointCloud, cfg: DriverConfig, iteration: int, attempt: int
+) -> tuple[RegressorModel, RegressorModel, np.ndarray]:
+    """phi (ambient -> chart), the chart force and the chart samples.
 
-    Raises DegenerateChartError / ChartFitError when the chart cannot be
-    trusted; the caller resamples with a fresh seed (at most three attempts).
+    One squared-distance matrix of the cloud gives the median bandwidth and
+    is then exponentiated in place into the diffusion-map kernel, which phi,
+    the chart force and the pushforward reuse. That kernel and phi's cached
+    Cholesky factor live only in this frame.
     """
-    sampler = dataclasses.replace(
-        cfg.sampler, seed=_derive_seed(cfg.seed, iteration, attempt, 0)
-    )
-    cloud = sample_cloud(problem, base, sampler)
     points = cloud.points
     n = cloud.size
-
-    eps = bandwidth_median_rule(points)
+    sq = squared_distances(points, points)
+    eps = median_bandwidth(sq)
     n_components = min(cfg.n_dmap_components, n - 1)
-    dmap = diffusion_maps(points, eps, n_components)
+    dmap = diffusion_maps(points, eps, n_components, sq=sq)
 
     cache: dict = {}
     # provisional fit of all embedding components, used only to rank them;
@@ -198,11 +205,39 @@ def build_local_chart(
         max_trial_points=cfg.max_trial_points,
         factorization_cache=cache,
     )
+    return phi, chart_force, chart_samples
 
-    eps_chart = bandwidth_median_rule(chart_samples)
+
+def build_local_chart(
+    problem: ProblemDefinition,
+    base: np.ndarray,
+    cfg: DriverConfig,
+    iteration: int = 1,
+    attempt: int = 0,
+) -> LocalChart:
+    """Sample a cloud around ``base`` and learn chart, force field, geometry.
+
+    At most two N x N arrays are live at a time: a kernel and a Cholesky
+    factor. Raises DegenerateChartError / ChartFitError when the chart cannot
+    be trusted; the caller resamples with a fresh seed (at most three
+    attempts).
+    """
+    sampler = dataclasses.replace(
+        cfg.sampler, seed=_derive_seed(cfg.seed, iteration, attempt, 0)
+    )
+    cloud = sample_cloud(problem, base, sampler)
+    points = cloud.points
+    phi, chart_force, chart_samples = _fit_chart_map_and_force(cloud, cfg, iteration, attempt)
+
+    # psi's kernel comes from one squared-distance matrix of the chart
+    # samples, like the cloud's; its trial kernels are submatrices of it
+    sq_chart = squared_distances(chart_samples, chart_samples)
+    eps_chart = median_bandwidth(sq_chart)
+    psi_kernel = regression.gaussian_kernel(chart_samples, chart_samples, eps_chart, sq=sq_chart)
     rng_psi = np.random.default_rng([cfg.seed, iteration, attempt, 3])
     psi, _ = fit_with_nugget_selection(
         chart_samples, points, eps_chart, rng_psi,
+        reuse_kernel=psi_kernel,
         max_trial_points=cfg.max_trial_points,
     )
 

@@ -92,7 +92,7 @@ def fit(
     assembled for the same inputs and bandwidth (it is validated against a
     recomputation at 1e-12). ``factorization`` may carry a Cholesky factor of
     (K + nugget I) from :func:`kernel_factorization` to share across fits on
-    the same inputs.
+    the same inputs; the kernel is then not assembled at all.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.asarray(targets, dtype=float)
@@ -110,7 +110,7 @@ def fit(
         check = gaussian_kernel(inputs[rows], inputs, eps)
         if np.max(np.abs(kernel[rows] - check)) > 1e-12:
             raise ValueError("reuse_kernel does not match the stated inputs/bandwidth")
-    else:
+    elif factorization is None:
         kernel = gaussian_kernel(inputs, inputs, eps)
     if factorization is None:
         factorization = kernel_factorization(kernel, nugget)
@@ -125,10 +125,17 @@ def fit(
 
 
 def kernel_factorization(kernel: np.ndarray, nugget: float):
-    """Cholesky factorization of (K + nugget I), reusable across targets."""
-    n = kernel.shape[0]
+    """Cholesky factorization of (K + nugget I), reusable across targets.
+
+    The factor overwrites one Fortran-order copy of K with the nugget added
+    to its diagonal. Off the diagonal k + 0 = k, so the factor equals that of
+    ``K + nugget * np.eye(n)`` bit for bit.
+    """
+    system = np.array(kernel, dtype=float, order="F")
+    diag = np.arange(system.shape[0])
+    system[diag, diag] += nugget
     try:
-        return scipy.linalg.cho_factor(kernel + nugget * np.eye(n), lower=True)
+        return scipy.linalg.cho_factor(system, lower=True, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         raise ChartFitError(
             f"kernel system singular at nugget {nugget}: {exc}"
@@ -245,7 +252,7 @@ def fit_with_nugget_selection(
         factorization = factorization_cache.get(cache_key)
     if factorization is None:
         kernel = reuse_kernel if reuse_kernel is not None else gaussian_kernel(inputs, inputs, eps)
-        factorization = kernel_factorization(np.asarray(kernel), nugget)
+        factorization = kernel_factorization(kernel, nugget)
         if factorization_cache is not None:
             factorization_cache[cache_key] = factorization
     full = fit(inputs, targets, eps, nugget, reuse_kernel=reuse_kernel, factorization=factorization)

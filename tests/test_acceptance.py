@@ -18,9 +18,9 @@ dt = 1e-4 twelve charts give a flow time of 1.2, while the sink-to-saddle
 geodesic is ~0.955 rad and the field speed is bounded by ~0.577. The
 companion test keeps those settings (exact sink, dt = 1e-4) and asserts the
 obstruction with the closed-form chart, where no learning error exists. The
-`saddlemap run` sphere defaults in cli.py still start at the exact sink at
-dt = 1e-4, so that command ends max_iterations there (exit 2); criterion 8
-runs those defaults, which is why they stay as they are.
+`saddlemap run` sphere defaults in cli.py use criterion 2's start
+(benchmarks.sphere_search_start), dt = 1e-3 and force tolerance 1e-3, so
+criterion 8, which runs those defaults, checks a search that leaves the sink.
 """
 import json
 import time
@@ -43,14 +43,6 @@ def report(criterion, ok, detail):
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
     RESULTS.append(line)
     print(line)
-
-
-def sphere_search_start(rep):
-    """Criterion 2's reactant: the sink moved 0.2 along the e1 tangent, then projected."""
-    sink = benchmarks.sphere_start_point(rep)
-    tangent = np.array([1.0, 0.0, 0.0]) - sink[0] * sink
-    tangent /= np.linalg.norm(tangent)
-    return benchmarks.sphere_project(sink + 0.2 * tangent)
 
 
 def sphere_search_config(seed):
@@ -109,7 +101,7 @@ class TestCriterion2SphereSearch:
     def test_reference_settings_five_seeds(self):
         problem = benchmarks.sphere_problem()
         rep = benchmarks.sphere_critical_points()
-        start = sphere_search_start(rep)
+        start = benchmarks.sphere_search_start(rep)
         saddles = rep.saddles()
         # oracle mode: the closed-form chart has no learning error, so a
         # learned endpoint far from the exact endpoint cannot count as a pass

@@ -32,7 +32,7 @@ def write_config(tmp_path, **overrides):
 class TestRunCommand:
     def test_outputs_and_exit_code(self, tmp_path):
         code = cli.main(["run", str(write_config(tmp_path))])
-        assert code == 2  # parked at the sink, hits the iteration cap
+        assert code == 2  # two 60-step charts (flow time 0.12) cannot reach the saddle
         out = tmp_path / "out"
         for name in ("trajectory.csv", "summary.json", "error.csv"):
             assert (out / name).exists()

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist
 
 from saddlemap.dimred import (
     PointCloud,
     bandwidth_median_rule,
     diffusion_maps,
+    markov_conjugate,
+    median_bandwidth,
     select_chart_components,
 )
 from saddlemap.errors import DegenerateChartError
-from saddlemap.kernels import gaussian_kernel
+from saddlemap.kernels import gaussian_kernel, squared_distances
 from saddlemap.regression import fit
 
 
@@ -40,6 +46,74 @@ class TestBandwidthMedianRule:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             bandwidth_median_rule(np.zeros((1, 2)))
+
+
+class TestSharedDistances:
+    # 15 and 1225 pairs (odd count), 10 and 820 pairs (even count)
+    @pytest.mark.parametrize("n", [6, 50, 5, 41])
+    def test_median_equals_pdist_median_bitwise(self, rng, n):
+        pts = rng.standard_normal((n, 3))
+        expected = float(np.median(pdist(pts)) ** 2)
+        assert median_bandwidth(squared_distances(pts, pts)) == expected
+        assert bandwidth_median_rule(pts) == expected
+
+    def test_kernel_overwrites_distances_bitwise(self, rng):
+        pts = rng.standard_normal((30, 2))
+        eps = bandwidth_median_rule(pts)
+        sq = squared_distances(pts, pts)
+        expected = np.exp(-sq / (2.0 * eps))
+        kernel = gaussian_kernel(pts, pts, eps, sq=sq)
+        assert kernel is sq
+        assert np.array_equal(kernel, expected)
+        with pytest.raises(ValueError):
+            gaussian_kernel(pts, pts[:5], eps, sq=squared_distances(pts, pts))
+
+    def test_diffusion_maps_with_precomputed_distances(self, rng):
+        pts = rng.standard_normal((60, 3))
+        eps = bandwidth_median_rule(pts)
+        plain = diffusion_maps(pts, eps, 4)
+        sq = squared_distances(pts, pts)
+        shared = diffusion_maps(pts, eps, 4, sq=sq)
+        assert shared.kernel is sq
+        for name in ("eigenvalues", "eigenvectors", "coordinates", "kernel"):
+            assert np.array_equal(getattr(shared, name), getattr(plain, name))
+
+    def test_conjugate_equals_symmetrized_dense_formula(self, rng):
+        # 700 rows span two row blocks of the in-place scaling
+        pts = rng.standard_normal((700, 3))
+        kernel = gaussian_kernel(pts, pts, bandwidth_median_rule(pts))
+        q = kernel.sum(axis=1)
+        k_alpha = kernel / np.outer(q, q)
+        d_isqrt = 1.0 / np.sqrt(k_alpha.sum(axis=1))
+        sym = k_alpha * np.outer(d_isqrt, d_isqrt)
+        sym = 0.5 * (sym + sym.T)
+        got, got_d_isqrt = markov_conjugate(kernel)
+        assert np.array_equal(got, sym)
+        assert np.array_equal(got_d_isqrt, d_isqrt)
+
+
+# clouds of 2-60 points in 1-4 dimensions, and positive bandwidths
+clouds = st.tuples(st.integers(2, 60), st.integers(1, 4)).flatmap(
+    lambda shape: arrays(
+        np.float64, shape, elements=st.floats(-10.0, 10.0, allow_nan=False, width=64)
+    )
+)
+bandwidths = st.floats(1e-3, 1e3)
+
+
+class TestKernelSymmetryProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(clouds, bandwidths)
+    def test_self_kernel_exactly_symmetric(self, pts, eps):
+        kernel = gaussian_kernel(pts, pts, eps)
+        assert np.array_equal(kernel, kernel.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(clouds, bandwidths)
+    def test_markov_conjugate_exactly_symmetric(self, pts, eps):
+        # why diffusion_maps needs no 0.5 * (S + S^T) before its eigensolve
+        sym, _ = markov_conjugate(gaussian_kernel(pts, pts, eps))
+        assert np.array_equal(sym, sym.T)
 
 
 def procrustes_correlations(coords, reference):

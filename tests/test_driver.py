@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,27 @@ class TestBuildLocalChart:
         assert np.mean(err < 0.05 * diam) >= 0.95
 
 
+class TestChartBuildMemory:
+    def test_traced_peak_bounded(self):
+        # a chart build holds about two N x N arrays at a time (a kernel and
+        # a Cholesky factor); at N = 2000 the 1600-row trial fits beside
+        # them bring the traced peak to ~3.4 N x N arrays
+        n = 2000
+        problem = benchmarks.surface_problem()
+        start = benchmarks.mb_start_point()
+        cfg = DriverConfig(
+            sampler=SamplerConfig(n_samples=n, perturbation_scale=0.15, tau=0.0, method="flow"),
+            seed=0,
+        )
+        tracemalloc.start()
+        try:
+            build_local_chart(problem, start, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * n * n
+
+
 class TestLearnedStep:
     def test_two_predictions_per_step(self, monkeypatch):
         # one order-2 psi prediction and one order-1 chart-force prediction
@@ -214,11 +236,8 @@ class TestSphereLongRun:
         # oracle-mode equivalence: from an offset start both the learned and
         # the closed-form chart drive to the same saddle
         rep = benchmarks.sphere_critical_points(2000)
-        sink = benchmarks.sphere_start_point(rep)
         saddles = rep.saddles()
-        tangent = np.array([1.0, 0.0, 0.0]) - sink[0] * sink
-        tangent /= np.linalg.norm(tangent)
-        start = benchmarks.sphere_project(sink + 0.2 * tangent)
+        start = benchmarks.sphere_search_start(rep)
         cfg = DriverConfig(
             sampler=SamplerConfig(n_samples=1000, perturbation_scale=0.15, seed=0),
             n_iterations_max=100,

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from saddlemap import regression
 from saddlemap.dimred import bandwidth_median_rule, diffusion_maps
 from saddlemap.errors import ChartFitError
 from saddlemap.kernels import gaussian_kernel
@@ -8,6 +10,7 @@ from saddlemap.regression import (
     ChartPair,
     fit,
     fit_with_nugget_selection,
+    kernel_factorization,
     score,
 )
 
@@ -50,6 +53,33 @@ class TestFit:
             fit(x, x, eps=-1.0, nugget=1e-8)
         with pytest.raises(ValueError):
             fit(x, x, eps=1.0, nugget=-1e-8)
+
+
+class TestFactorization:
+    def test_equals_factor_of_dense_sum_bitwise(self, rng):
+        x = rng.uniform(-1, 1, (40, 3))
+        kernel = gaussian_kernel(x, x, bandwidth_median_rule(x))
+        before = kernel.copy()
+        for nugget in (1e-8, 1e-6, 1e-4):
+            factor, lower = kernel_factorization(kernel, nugget)
+            expected, _ = scipy.linalg.cho_factor(kernel + nugget * np.eye(40), lower=True)
+            assert lower
+            assert np.array_equal(factor, expected)
+        assert np.array_equal(kernel, before)  # only its copy is overwritten
+
+    def test_fit_with_factorization_assembles_no_kernel(self, rng, monkeypatch):
+        x = rng.uniform(-1, 1, (40, 3))
+        eps = bandwidth_median_rule(x)
+        factorization = kernel_factorization(gaussian_kernel(x, x, eps), 1e-6)
+        expected = fit(x, x[:, :2], eps, 1e-6)
+        calls = []
+        assemble = regression.gaussian_kernel
+        monkeypatch.setattr(
+            regression, "gaussian_kernel", lambda *a, **k: calls.append(a) or assemble(*a, **k)
+        )
+        model = fit(x, x[:, :2], eps, 1e-6, factorization=factorization)
+        assert len(calls) == 0
+        assert np.array_equal(model.weights, expected.weights)
 
 
 class TestDerivatives:
@@ -184,6 +214,21 @@ class TestNuggetSelection:
             assert np.array_equal(cached.weights, fresh.weights)
             models.append(cached)
         assert models[0].nugget == models[1].nugget
+
+    def test_reused_kernel_gives_identical_fit(self, rng):
+        # trial kernels taken as submatrices of a supplied kernel equal the
+        # ones assembled from the trial rows
+        x = rng.uniform(-1, 1, (150, 2))
+        y = np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
+        assembled, r2 = fit_with_nugget_selection(
+            x, y, eps=0.4, rng=np.random.default_rng(3), max_trial_points=100
+        )
+        reused, r2_reused = fit_with_nugget_selection(
+            x, y, eps=0.4, rng=np.random.default_rng(3), max_trial_points=100,
+            reuse_kernel=gaussian_kernel(x, x, 0.4),
+        )
+        assert r2_reused == r2 and reused.nugget == assembled.nugget
+        assert np.array_equal(reused.weights, assembled.weights)
 
     def test_unreachable_target_raises(self, rng):
         x = rng.uniform(-1, 1, (60, 1))
