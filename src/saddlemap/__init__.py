@@ -53,7 +53,6 @@ from .regression import (
 from .sampling import (
     SamplerConfig,
     TetherConfig,
-    estimate_mean_force,
     invert_chart_via_tether,
     sample_brownian,
     sample_flow_perturbation,

@@ -19,6 +19,7 @@ from . import regression
 # bandwidth_median_rule is not called here; perfbench/worker.py traces the
 # chart build by wrapping layer functions under their names in this module
 from .dimred import (  # noqa: F401
+    DiffusionMapResult,
     PointCloud,
     bandwidth_median_rule,
     diffusion_maps,
@@ -75,6 +76,7 @@ class DriverConfig:
     rank_tol: float = 0.2
     seed: int = 0
     n_dmap_components: int = 8
+    # row cap of the component-ranking fit and of each fit's nugget trials
     max_trial_points: int = 2000
 
     def __post_init__(self):
@@ -161,15 +163,39 @@ def _pushforward_at_samples(phi: RegressorModel, cloud: PointCloud, kernel: np.n
     return out
 
 
+def _rank_chart_components(
+    points: np.ndarray, dmap: DiffusionMapResult, eps: float, cfg: DriverConfig
+) -> tuple[int, list[int]]:
+    """Chart dimension and components, ranked from a provisional fit.
+
+    The provisional fit of all embedding components runs on an evenly
+    strided subset of at most ``cfg.max_trial_points`` cloud rows (every row
+    of a smaller cloud) and draws from no generator; its Jacobians at 50
+    cloud points rank the components. The quality gate applies to the chart
+    map fitted afterwards, not to this fit.
+    """
+    n = points.shape[0]
+    sub = np.unique(np.linspace(0, n - 1, min(n, cfg.max_trial_points)).astype(int))
+    kernel = dmap.kernel if sub.size == n else dmap.kernel[np.ix_(sub, sub)]
+    ranking = regression.fit(
+        points[sub], dmap.coordinates[sub], eps, nugget=1e-6, reuse_kernel=kernel
+    )
+    eval_idx = np.unique(np.linspace(0, n - 1, min(n, 50)).astype(int))
+    jacobians = [ranking.predict_with_derivatives(points[i], order=1)[1] for i in eval_idx]
+    return select_chart_components(dmap, jacobians, cfg.rank_tol)
+
+
 def _fit_chart_map_and_force(
     cloud: PointCloud, cfg: DriverConfig, iteration: int, attempt: int
 ) -> tuple[RegressorModel, RegressorModel, np.ndarray]:
     """phi (ambient -> chart), the chart force and the chart samples.
 
     One squared-distance matrix of the cloud gives the median bandwidth and
-    is then exponentiated in place into the diffusion-map kernel, which phi,
-    the chart force and the pushforward reuse. That kernel and phi's cached
-    Cholesky factor live only in this frame.
+    is then exponentiated in place into the diffusion-map kernel, which the
+    component ranking, phi, the chart force and the pushforward reuse. phi
+    and the chart force share one full-N Cholesky factor; the ranking fit
+    factors at most ``cfg.max_trial_points`` rows. That kernel and phi's
+    cached factor live only in this frame.
     """
     points = cloud.points
     n = cloud.size
@@ -177,18 +203,10 @@ def _fit_chart_map_and_force(
     eps = median_bandwidth(sq)
     n_components = min(cfg.n_dmap_components, n - 1)
     dmap = diffusion_maps(points, eps, n_components, sq=sq)
-
-    cache: dict = {}
-    # provisional fit of all embedding components, used only to rank them;
-    # the quality gate applies to the retained chart map below
-    phi_prov = regression.fit(
-        points, dmap.coordinates, eps, nugget=1e-6, reuse_kernel=dmap.kernel
-    )
-    eval_idx = np.unique(np.linspace(0, n - 1, min(n, 50)).astype(int))
-    jacobians = [phi_prov.predict_with_derivatives(points[i], order=1)[1] for i in eval_idx]
-    chart_dim, components = select_chart_components(dmap, jacobians, cfg.rank_tol)
+    chart_dim, components = _rank_chart_components(points, dmap, eps, cfg)
 
     chart_samples = dmap.coordinates[:, components]
+    cache: dict = {}
     rng_phi = np.random.default_rng([cfg.seed, iteration, attempt, 1])
     phi, _ = fit_with_nugget_selection(
         points, chart_samples, eps, rng_phi,
@@ -342,10 +360,10 @@ def _handoff_to_ambient(problem, local: LocalChart, u_end: np.ndarray, cfg: Driv
     more than a tenth of the chart diameter.
     """
     psi, phi = local.chart.psi, local.chart.phi
-    x_new = psi.predict(u_end)
-    roundtrip = float(np.linalg.norm(phi.predict(problem.project(x_new)) - u_end))
+    x_direct = problem.project(psi.predict(u_end))
+    roundtrip = float(np.linalg.norm(phi.predict(x_direct) - u_end))
     if roundtrip > 0.1 * local.chart.chart_diameter():
-        _, jac, _ = phi.predict_with_derivatives(problem.project(x_new), order=1)
+        _, jac, _ = phi.predict_with_derivatives(x_direct, order=1)
         scale = max(float(np.linalg.norm(jac, 2)) ** 2, 1e-12)
         kappa = 1.0
         tether = TetherConfig(kappa=kappa, target_phi=u_end, burn_in=150, n_average=50)
@@ -356,14 +374,15 @@ def _handoff_to_ambient(problem, local: LocalChart, u_end: np.ndarray, cfg: Driv
             seed=_derive_seed(cfg.seed, iteration, 99),
         )
         try:
-            x_new = invert_chart_via_tether(
+            x_tether = invert_chart_via_tether(
                 problem, phi, tether, sde_cfg,
-                start=problem.project(x_new),
+                start=x_direct,
                 tol=0.1 * local.chart.chart_diameter(),
             )
         except (TetherResidualError, NonFiniteEvaluationError):
-            pass  # keep the direct inverse-map estimate
-    return problem.project(x_new)
+            return x_direct  # keep the direct inverse-map estimate
+        return problem.project(x_tether)
+    return x_direct
 
 
 def run_search(
@@ -429,12 +448,14 @@ def run_search(
         if record.exit_reason == EXIT_CONVERGED:
             # accept only when the ambient force confirms the chart-level
             # certificate; otherwise tighten the certificate and recenter
-            if np.linalg.norm(problem.force(x)) < cfg.tol_force:
+            residual = float(np.linalg.norm(problem.force(x)))
+            if residual < cfg.tol_force:
                 verdict = VERDICT_SADDLE_FOUND
                 break
             chart_tol = max(0.8 * chart_tol, 1e-3 * cfg.tol_force)
 
-    residual = float(np.linalg.norm(problem.force(x)))
+    if verdict != VERDICT_SADDLE_FOUND:
+        residual = float(np.linalg.norm(problem.force(x)))
     return SearchTrajectory(
         records=records,
         final_point=x,

@@ -184,61 +184,3 @@ def invert_chart_via_tether(
         )
     return result
 
-
-def chart_mean_force_integrand(problem, psi, v: np.ndarray, beta: float):
-    """Energetic and entropic parts of the chart mean-force integrand at v.
-
-    Energetic part: -grad_g (U o psi); entropic part:
-    +grad_g (log det(Dpsi^T Dpsi)) / (2 beta). Gradients are Riemannian
-    (sharp of the coordinate differential under the pullback metric).
-    """
-    v = np.asarray(v, dtype=float)
-    value, jac, second = psi.predict_with_derivatives(v, order=2)
-    gram = jac.T @ jac
-    d = v.shape[0]
-    # d(U o psi)/dv = Dpsi^T grad U; problem.force is tangential -grad U, and
-    # Dpsi columns are tangent, so Dpsi^T force = -d(U o psi)/dv.
-    du = -(jac.T @ np.asarray(problem.force(value), dtype=float))
-    # d log det(G)/dv_j = tr(G^{-1} dG/dv_j)
-    gram_inv = np.linalg.inv(gram)
-    dlogdet = np.empty(d)
-    for j in range(d):
-        dgram = second[:, :, j].T @ jac + jac.T @ second[:, :, j]
-        dlogdet[j] = np.trace(gram_inv @ dgram)
-    energetic = -gram_inv @ du
-    entropic = gram_inv @ dlogdet / (2.0 * beta)
-    return energetic, entropic
-
-
-def estimate_mean_force(
-    problem,
-    psi,
-    u: np.ndarray,
-    beta: float,
-    n_mc: int,
-    seed: int,
-    restraint_kappa: float = 100.0,
-    dt: float = 1e-3,
-) -> np.ndarray:
-    """Monte-Carlo mean force at the chart point u.
-
-    The conditional ensemble is realized by restrained overdamped sampling on
-    the chart: an Ornstein-Uhlenbeck chain tethered to u at inverse
-    temperature beta supplies the conditioned samples, and the integrand
-    -grad_g (U o psi - log det(Dpsi^T Dpsi) / (2 beta)) is averaged over them
-    without reweighting.
-    """
-    if beta <= 0:
-        raise ValueError("inverse temperature must be positive")
-    if n_mc < 1:
-        raise ValueError("need at least one Monte-Carlo sample")
-    u = np.asarray(u, dtype=float)
-    rng = np.random.default_rng([seed, 2])
-    noise_amp = np.sqrt(2.0 * dt / beta)
-    v = u.copy()
-    acc = np.zeros_like(u)
-    for _ in range(n_mc):
-        v = v - dt * restraint_kappa * (v - u) + noise_amp * rng.standard_normal(u.shape[0])
-        energetic, entropic = chart_mean_force_integrand(problem, psi, v, beta)
-        acc += energetic + entropic
-    return acc / n_mc

@@ -4,20 +4,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from saddlemap import benchmarks
+from saddlemap import benchmarks, regression
+from saddlemap.dimred import diffusion_maps, median_bandwidth, select_chart_components
 from saddlemap.driver import (
     DriverConfig,
     EXIT_CONVERGED,
     EXIT_STEP_BUDGET,
     EXIT_TRUST_REGION,
     VERDICT_SADDLE_FOUND,
+    _derive_seed,
+    _handoff_to_ambient,
+    _rank_chart_components,
     build_local_chart,
     check_convergence,
     integrate_isd_on_chart,
     run_search,
 )
+from saddlemap.kernels import squared_distances
 from saddlemap.regression import RegressorModel
-from saddlemap.sampling import SamplerConfig
+from saddlemap.sampling import SamplerConfig, sample_cloud
 
 from conftest import quadratic_saddle_field
 
@@ -124,6 +129,13 @@ class TestBuildLocalChart:
         assert np.mean(err < 0.05 * diam) >= 0.95
 
 
+def mb_chart_cfg(n: int, seed: int = 0) -> DriverConfig:
+    return DriverConfig(
+        sampler=SamplerConfig(n_samples=n, perturbation_scale=0.15, tau=0.0, method="flow"),
+        seed=seed,
+    )
+
+
 class TestChartBuildMemory:
     def test_traced_peak_bounded(self):
         # a chart build holds about two N x N arrays at a time (a kernel and
@@ -132,10 +144,7 @@ class TestChartBuildMemory:
         n = 2000
         problem = benchmarks.surface_problem()
         start = benchmarks.mb_start_point()
-        cfg = DriverConfig(
-            sampler=SamplerConfig(n_samples=n, perturbation_scale=0.15, tau=0.0, method="flow"),
-            seed=0,
-        )
+        cfg = mb_chart_cfg(n)
         tracemalloc.start()
         try:
             build_local_chart(problem, start, cfg)
@@ -143,6 +152,61 @@ class TestChartBuildMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * 8 * n * n
+
+
+class TestChartFactorizations:
+    """Above max_trial_points a chart factors two N-row systems, not three."""
+
+    @staticmethod
+    def factored_rows(monkeypatch, cfg):
+        rows = []
+        factor = regression.kernel_factorization
+
+        def recording(kernel, nugget):
+            rows.append(kernel.shape[0])
+            return factor(kernel, nugget)
+
+        monkeypatch.setattr(regression, "kernel_factorization", recording)
+        build_local_chart(benchmarks.surface_problem(), benchmarks.mb_start_point(), cfg)
+        return rows
+
+    def test_two_full_factorizations_above_trial_cap(self, monkeypatch):
+        cfg = mb_chart_cfg(2500)
+        assert cfg.sampler.n_samples > cfg.max_trial_points
+        rows = self.factored_rows(monkeypatch, cfg)
+        # the ranking fit comes first, on max_trial_points rows; phi (shared
+        # with the chart force) and psi are the two full-N systems
+        assert rows[0] == cfg.max_trial_points
+        assert rows.count(2500) == 2
+
+    def test_ranking_sees_every_row_up_to_trial_cap(self, monkeypatch):
+        cfg = mb_chart_cfg(1000)
+        assert cfg.sampler.n_samples <= cfg.max_trial_points
+        rows = self.factored_rows(monkeypatch, cfg)
+        assert rows[0] == 1000
+        assert rows.count(1000) == 3
+
+
+class TestRankingParity:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_subset_ranking_matches_full_fit(self, seed):
+        # the first Mueller-Brown cloud of driver seed `seed`, as
+        # build_local_chart samples it
+        n = 3000
+        cfg = mb_chart_cfg(n, seed)
+        sampler = dataclasses.replace(cfg.sampler, seed=_derive_seed(seed, 1, 0, 0))
+        points = sample_cloud(benchmarks.surface_problem(), benchmarks.mb_start_point(), sampler).points
+        sq = squared_distances(points, points)
+        eps = median_bandwidth(sq)
+        dmap = diffusion_maps(points, eps, cfg.n_dmap_components, sq=sq)
+
+        full = regression.fit(points, dmap.coordinates, eps, 1e-6, reuse_kernel=dmap.kernel)
+        eval_idx = np.unique(np.linspace(0, n - 1, 50).astype(int))
+        jacobians = [full.predict_with_derivatives(points[i], order=1)[1] for i in eval_idx]
+        reference = select_chart_components(dmap, jacobians, cfg.rank_tol)
+
+        assert n > cfg.max_trial_points
+        assert _rank_chart_components(points, dmap, eps, cfg) == reference
 
 
 class TestLearnedStep:
@@ -184,6 +248,36 @@ class TestRunSearch:
         assert traj.verdict == VERDICT_SADDLE_FOUND
         assert len(traj.records) == 1
         assert traj.saddle_residual < 1e-8
+
+    def test_accepted_saddle_evaluates_force_once(self):
+        # the ambient accept check and the reported residual share one force
+        # evaluation; the closed-form chart calls problem.force nowhere else
+        calls = []
+
+        def counting_force(x):
+            calls.append(x)
+            return SPHERE.force(x)
+
+        problem = dataclasses.replace(SPHERE, force=counting_force)
+        traj = run_search(problem, np.array([0.0, -1.0, 0.0]), small_cfg(tol_force=1e-8),
+                          mode="exact_chart")
+        assert traj.verdict == VERDICT_SADDLE_FOUND
+        assert len(calls) == 1
+
+    def test_direct_handoff_projects_once(self):
+        base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
+        local = build_local_chart(SPHERE, base, small_cfg())
+        calls = []
+
+        def counting_project(x):
+            calls.append(x)
+            return SPHERE.project(x)
+
+        problem = dataclasses.replace(SPHERE, project=counting_project)
+        u_end = local.chart.phi.predict(base)
+        x = _handoff_to_ambient(problem, local, u_end, small_cfg(), iteration=1)
+        assert len(calls) == 1
+        assert np.linalg.norm(x - base) < 1e-2
 
     def test_all_recorded_points_on_manifold(self):
         cfg = small_cfg(n_iterations_max=2, n_ode_steps=100)

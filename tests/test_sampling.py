@@ -8,8 +8,6 @@ from saddlemap.errors import TetherResidualError
 from saddlemap.sampling import (
     SamplerConfig,
     TetherConfig,
-    chart_mean_force_integrand,
-    estimate_mean_force,
     invert_chart_via_tether,
     sample_brownian,
     sample_cloud,
@@ -163,44 +161,6 @@ class TestTether:
             invert_chart_via_tether(problem, phi, tether, cfg, start=np.zeros(2), tol=1e-3)
         assert err.value.point is not None
         assert err.value.residual > 1e-3
-
-
-class TestMeanForce:
-    def _quadratic_problem(self, k=2.0):
-        # ambient potential k/2 |x|^2 on the flat plane
-        return dataclasses.replace(
-            flat_problem(dim=2),
-            energy=lambda x: 0.5 * k * float(x @ x),
-            force=lambda x: -k * np.asarray(x, dtype=float),
-        )
-
-    def test_isometry_drops_entropic_term(self):
-        problem = self._quadratic_problem(k=3.0)
-        psi = LinearChartStub(np.eye(2))
-        u = np.array([0.4, -0.2])
-        energetic, entropic = chart_mean_force_integrand(problem, psi, u, beta=1.0)
-        assert np.allclose(entropic, 0.0, atol=1e-12)
-        assert np.allclose(energetic, -3.0 * u, atol=1e-12)
-
-    def test_large_beta_suppresses_entropy(self, rng):
-        # curved 1-d chart embedded in the plane: psi(u) = (u, u^2)
-        from saddlemap.regression import fit
-
-        problem = self._quadratic_problem(k=1.0)
-        grid = np.linspace(-1.0, 1.0, 80)[:, None]
-        targets = np.column_stack([grid[:, 0], grid[:, 0] ** 2])
-        psi = fit(grid, targets, eps=0.05, nugget=1e-10)
-        u = np.array([0.3])
-        energetic, entropic = chart_mean_force_integrand(problem, psi, u, beta=1e12)
-        assert np.linalg.norm(entropic) < 1e-10 * np.linalg.norm(energetic)
-
-    def test_quadratic_mean_force(self):
-        # oracle: restrained OU average of -k v equals -k u up to MC error
-        problem = self._quadratic_problem(k=2.0)
-        psi = LinearChartStub(np.eye(2))
-        u = np.array([0.5, -1.0])
-        out = estimate_mean_force(problem, psi, u, beta=50.0, n_mc=4000, seed=8)
-        assert np.max(np.abs(out - (-2.0 * u))) < 0.05
 
 
 class TestWalkerSplitting:
