@@ -34,9 +34,6 @@ from .geometry import (
     christoffel,
     covariant_hessian_from_force,
     gad_extended_field,
-    geodesic_rhs,
-    householder_reflect,
-    integrate_gad,
     isd_field,
     metric_from_jacobian,
     rayleigh_quotient,
@@ -54,8 +51,7 @@ from .sampling import (
     SamplerConfig,
     TetherConfig,
     invert_chart_via_tether,
-    sample_brownian,
-    sample_flow_perturbation,
+    sample_cloud,
 )
 
 __version__ = "0.1.0"

@@ -61,8 +61,6 @@ class StereographicSphereChart:
     GeometryField so the driver can run in oracle mode.
     """
 
-    chart_dim = 2
-
     def phi(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.array([x[0], x[1]]) / (1.0 - x[2])
@@ -231,15 +229,6 @@ def surface_height_gradient(p: np.ndarray) -> np.ndarray:
 
 def surface_lift(p: np.ndarray) -> np.ndarray:
     return np.array([p[0], p[1], surface_height(p)])
-
-
-def surface_eval(x1x2: np.ndarray):
-    """Height, its analytic gradient, and the lifted Riemannian force."""
-    p = np.asarray(x1x2, dtype=float)
-    height = surface_height(p)
-    grad_f = surface_height_gradient(p)
-    lifted = surface_force(np.array([p[0], p[1], height]))
-    return height, grad_f, lifted
 
 
 def surface_project(x: np.ndarray) -> np.ndarray:

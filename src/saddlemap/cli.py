@@ -24,7 +24,6 @@ import numpy as np
 from . import benchmarks, geometry
 from .driver import (
     DriverConfig,
-    VERDICT_FAILED,
     VERDICT_MAX_ITERATIONS,
     VERDICT_SADDLE_FOUND,
     run_search,
@@ -44,8 +43,6 @@ PROBLEM_DEFAULTS = {
         "sampler": {
             "n_samples": 1000,
             "perturbation_scale": 0.15,
-            "tau": 0.0,
-            "method": "flow",
         },
     },
     "mb_surface": {
@@ -59,8 +56,6 @@ PROBLEM_DEFAULTS = {
         "sampler": {
             "n_samples": 5000,
             "perturbation_scale": 0.15,
-            "tau": 0.0,
-            "method": "flow",
         },
     },
 }
@@ -86,20 +81,25 @@ class RunConfig:
             raise ValueError("exact_chart mode is only available for the sphere problem")
 
 
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = _json_object(json.load(fh), "the config")
     problem = raw.get("problem")
     if problem not in PROBLEM_DEFAULTS:
         raise ValueError(f"config must set problem to one of {sorted(PROBLEM_DEFAULTS)}")
     defaults = PROBLEM_DEFAULTS[problem]
+    driver_raw = _json_object(raw.get("driver", {}), '"driver"')
 
     sampler_kwargs = dict(defaults["sampler"])
-    sampler_kwargs.update(raw.get("driver", {}).get("sampler", {}))
+    sampler_kwargs.update(_json_object(driver_raw.get("sampler", {}), '"sampler"'))
     driver_kwargs = dict(defaults["driver"])
-    driver_kwargs.update(
-        {k: v for k, v in raw.get("driver", {}).items() if k != "sampler"}
-    )
+    driver_kwargs.update({k: v for k, v in driver_raw.items() if k != "sampler"})
     driver = DriverConfig(sampler=SamplerConfig(**sampler_kwargs), **driver_kwargs)
 
     output_dir = raw.get("output_dir")

@@ -23,6 +23,9 @@ from .kernels import gaussian_kernel, squared_distances
 _DENSE_EIG_MAX = 1500
 # rows per block when scaling an N x N matrix by an outer product in place
 _ROW_BLOCK = 512
+# a singular value counts toward a Jacobian's numerical rank above this
+# fraction of the largest one
+RANK_TOL = 0.2
 
 
 @dataclass(frozen=True)
@@ -171,7 +174,6 @@ def diffusion_maps(
 def select_chart_components(
     dmap: DiffusionMapResult,
     phi_jacobians: list[np.ndarray],
-    rank_tol: float = 0.2,
 ) -> tuple[int, list[int]]:
     """Chart dimension and a component subset that realizes it.
 
@@ -191,7 +193,7 @@ def select_chart_components(
         sv = np.linalg.svd(mat, compute_uv=False)
         if sv[0] == 0.0:
             return 0
-        return int(np.sum(sv > rank_tol * sv[0]))
+        return int(np.sum(sv > RANK_TOL * sv[0]))
 
     d = int(round(float(np.mean([num_rank(j) for j in jacs]))))
     if d < 1:

@@ -46,6 +46,14 @@ VERDICT_SADDLE_FOUND = "saddle_found"
 VERDICT_MAX_ITERATIONS = "max_iterations"
 VERDICT_FAILED = "failed"
 
+# trust radius of a learned chart, in median nearest-neighbour spacings of
+# its cloud
+TRUST_FACTOR = 3.0
+# diffusion-map coordinates computed per cloud, before component selection
+N_DMAP_COMPONENTS = 8
+# row cap of the component-ranking fit and of each fit's nugget trials
+MAX_TRIAL_POINTS = 2000
+
 
 @dataclass(frozen=True)
 class ProblemDefinition:
@@ -70,24 +78,17 @@ class DriverConfig:
     n_iterations_max: int = 12
     n_ode_steps: int = 1000
     ode_dt: float = 1e-4
-    trust_factor: float = 3.0
     tol_force: float = 1e-4
     tol_index: float = 1e-6
-    rank_tol: float = 0.2
     seed: int = 0
-    n_dmap_components: int = 8
-    # row cap of the component-ranking fit and of each fit's nugget trials
-    max_trial_points: int = 2000
 
     def __post_init__(self):
         if self.n_iterations_max < 1 or self.n_ode_steps < 1:
             raise ValueError("iteration and step budgets must be positive")
         if self.ode_dt <= 0:
             raise ValueError("ode_dt must be positive")
-        if self.trust_factor <= 0 or self.tol_force <= 0 or self.tol_index <= 0:
-            raise ValueError("trust_factor, tol_force and tol_index must be positive")
-        if not 0 < self.rank_tol < 1:
-            raise ValueError("rank_tol must lie in (0, 1)")
+        if self.tol_force <= 0 or self.tol_index <= 0:
+            raise ValueError("tol_force and tol_index must be positive")
 
 
 @dataclass
@@ -164,25 +165,25 @@ def _pushforward_at_samples(phi: RegressorModel, cloud: PointCloud, kernel: np.n
 
 
 def _rank_chart_components(
-    points: np.ndarray, dmap: DiffusionMapResult, eps: float, cfg: DriverConfig
+    points: np.ndarray, dmap: DiffusionMapResult, eps: float
 ) -> tuple[int, list[int]]:
     """Chart dimension and components, ranked from a provisional fit.
 
     The provisional fit of all embedding components runs on an evenly
-    strided subset of at most ``cfg.max_trial_points`` cloud rows (every row
+    strided subset of at most ``MAX_TRIAL_POINTS`` cloud rows (every row
     of a smaller cloud) and draws from no generator; its Jacobians at 50
     cloud points rank the components. The quality gate applies to the chart
     map fitted afterwards, not to this fit.
     """
     n = points.shape[0]
-    sub = np.unique(np.linspace(0, n - 1, min(n, cfg.max_trial_points)).astype(int))
+    sub = np.unique(np.linspace(0, n - 1, min(n, MAX_TRIAL_POINTS)).astype(int))
     kernel = dmap.kernel if sub.size == n else dmap.kernel[np.ix_(sub, sub)]
     ranking = regression.fit(
         points[sub], dmap.coordinates[sub], eps, nugget=1e-6, reuse_kernel=kernel
     )
     eval_idx = np.unique(np.linspace(0, n - 1, min(n, 50)).astype(int))
     jacobians = [ranking.predict_with_derivatives(points[i], order=1)[1] for i in eval_idx]
-    return select_chart_components(dmap, jacobians, cfg.rank_tol)
+    return select_chart_components(dmap, jacobians)
 
 
 def _fit_chart_map_and_force(
@@ -194,16 +195,16 @@ def _fit_chart_map_and_force(
     is then exponentiated in place into the diffusion-map kernel, which the
     component ranking, phi, the chart force and the pushforward reuse. phi
     and the chart force share one full-N Cholesky factor; the ranking fit
-    factors at most ``cfg.max_trial_points`` rows. That kernel and phi's
+    factors at most ``MAX_TRIAL_POINTS`` rows. That kernel and phi's
     cached factor live only in this frame.
     """
     points = cloud.points
     n = cloud.size
     sq = squared_distances(points, points)
     eps = median_bandwidth(sq)
-    n_components = min(cfg.n_dmap_components, n - 1)
+    n_components = min(N_DMAP_COMPONENTS, n - 1)
     dmap = diffusion_maps(points, eps, n_components, sq=sq)
-    chart_dim, components = _rank_chart_components(points, dmap, eps, cfg)
+    chart_dim, components = _rank_chart_components(points, dmap, eps)
 
     chart_samples = dmap.coordinates[:, components]
     cache: dict = {}
@@ -211,7 +212,7 @@ def _fit_chart_map_and_force(
     phi, _ = fit_with_nugget_selection(
         points, chart_samples, eps, rng_phi,
         reuse_kernel=dmap.kernel,
-        max_trial_points=cfg.max_trial_points,
+        max_trial_points=MAX_TRIAL_POINTS,
         factorization_cache=cache,
     )
 
@@ -220,7 +221,7 @@ def _fit_chart_map_and_force(
     chart_force, _ = fit_with_nugget_selection(
         points, pushforward, eps, rng_force,
         reuse_kernel=dmap.kernel,
-        max_trial_points=cfg.max_trial_points,
+        max_trial_points=MAX_TRIAL_POINTS,
         factorization_cache=cache,
     )
     return phi, chart_force, chart_samples
@@ -256,12 +257,12 @@ def build_local_chart(
     psi, _ = fit_with_nugget_selection(
         chart_samples, points, eps_chart, rng_psi,
         reuse_kernel=psi_kernel,
-        max_trial_points=cfg.max_trial_points,
+        max_trial_points=MAX_TRIAL_POINTS,
     )
 
     tree = cKDTree(points)
     nn = tree.query(points, k=2)[0][:, 1]
-    trust_radius = cfg.trust_factor * float(np.median(nn))
+    trust_radius = TRUST_FACTOR * float(np.median(nn))
 
     return LocalChart(
         chart=ChartPair(phi=phi, psi=psi, chart_samples=chart_samples),

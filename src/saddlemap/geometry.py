@@ -86,20 +86,6 @@ def _inner(a: Vector, b: Vector, g: Optional[MetricTensor]) -> float:
     return g.inner(a, b)
 
 
-def householder_reflect(v: Vector, w: Vector, g: Optional[MetricTensor] = None) -> Vector:
-    """Reflect w across the hyperplane orthogonal to the unit vector v.
-
-    H(v) w = w - 2 <v, w> v, with the Euclidean inner product or, when a
-    metric is supplied, the g-inner product (v must be g-normalized then).
-    """
-    v = _as_vector(v)
-    w = _as_vector(w)
-    nrm2 = _inner(v, v, g)
-    if abs(nrm2 - 1.0) > 1e-8:
-        raise ValueError(f"reflection direction must have unit norm, got |v|^2 = {nrm2}")
-    return w - 2.0 * _inner(v, w, g) * v
-
-
 def rayleigh_quotient(h: np.ndarray, v: Vector, g: Optional[MetricTensor] = None) -> float:
     """Rayleigh quotient of the symmetric (0,2) matrix h at v.
 
@@ -140,30 +126,6 @@ def gad_extended_field(
     r = rayleigh_quotient(d2u, v)
     dv = -d2u @ v + r * v
     return dx, dv
-
-
-def integrate_gad(
-    grad_u: Callable[[np.ndarray], np.ndarray],
-    hess_u: Callable[[np.ndarray], np.ndarray],
-    state0: GADState,
-    dt: float,
-    n_steps: int,
-    renormalize: bool = True,
-) -> GADState:
-    """Explicit-Euler integration of the extended system.
-
-    The continuous flow preserves |v| = 1 only exactly; by default v is
-    renormalized after every step.
-    """
-    x = np.array(state0.x, dtype=float)
-    v = np.array(state0.v, dtype=float)
-    for _ in range(n_steps):
-        dx, dv = gad_extended_field(GADState(x, v), grad_u, hess_u)
-        x = x + dt * dx
-        v = v + dt * dv
-        if renormalize:
-            v = v / np.linalg.norm(v)
-    return GADState(x, v)
 
 
 def metric_from_jacobian(jac_psi: np.ndarray) -> MetricTensor:
@@ -324,15 +286,6 @@ def isd_field(x_force: Vector, v: Vector, g: MetricTensor) -> Vector:
     if abs(g.inner(v, v) - 1.0) > 1e-8:
         raise ValueError("soft-mode direction must be g-normalized")
     return x_force - 2.0 * g.inner(v, x_force) * v
-
-
-def geodesic_rhs(u: np.ndarray, du: Vector, gamma: ChristoffelSymbols) -> Vector:
-    """Second-derivative term of the geodesic equation.
-
-    u''^l = -sum_jk Gamma^l_jk u'^j u'^k
-    """
-    du = _as_vector(du)
-    return -np.einsum("ljk,j,k->l", gamma.gamma, du, du)
 
 
 @dataclass(frozen=True)

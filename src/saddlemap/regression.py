@@ -27,18 +27,9 @@ class RegressorModel:
     """Fitted kernel regressor mapping R^p -> R^q."""
 
     train_inputs: np.ndarray   # (N, p)
-    train_targets: np.ndarray  # (N, q)
     bandwidth_eps: float
     nugget: float
     weights: np.ndarray        # (N, q), solution of (K + nugget I) w = targets
-
-    @property
-    def input_dim(self) -> int:
-        return self.train_inputs.shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.train_targets.shape[1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         value, _, _ = self.predict_with_derivatives(x, order=0)
@@ -117,7 +108,6 @@ def fit(
     weights = scipy.linalg.cho_solve(factorization, targets)
     return RegressorModel(
         train_inputs=inputs,
-        train_targets=targets,
         bandwidth_eps=float(eps),
         nugget=float(nugget),
         weights=weights,
@@ -198,9 +188,7 @@ def fit_with_nugget_selection(
     eps: float,
     rng: np.random.Generator,
     reuse_kernel: Optional[np.ndarray] = None,
-    nuggets=NUGGET_LADDER,
     r2_target: float = R2_TARGET,
-    holdout_fraction: float = 0.2,
     max_trial_points: Optional[int] = None,
     factorization_cache: Optional[dict] = None,
 ) -> tuple[RegressorModel, float]:
@@ -222,7 +210,7 @@ def fit_with_nugget_selection(
     trial_idx = np.arange(n)
     if max_trial_points is not None and n > max_trial_points:
         trial_idx = np.sort(rng.permutation(n)[:max_trial_points])
-    tr, te = holdout_split(trial_idx.size, holdout_fraction, rng)
+    tr, te = holdout_split(trial_idx.size, 0.2, rng)
     tr, te = trial_idx[tr], trial_idx[te]
 
     trial_kernel = None
@@ -230,7 +218,7 @@ def fit_with_nugget_selection(
         trial_kernel = np.asarray(reuse_kernel)[np.ix_(tr, tr)]
 
     best = None
-    for nugget in nuggets:
+    for nugget in NUGGET_LADDER:
         try:
             model = fit(inputs[tr], targets[tr], eps, nugget, reuse_kernel=trial_kernel)
         except ChartFitError:
@@ -241,7 +229,7 @@ def fit_with_nugget_selection(
             break
     if best is None:
         raise ChartFitError(
-            f"no nugget in {tuple(nuggets)} reaches held-out R^2 >= {r2_target}"
+            f"no nugget in {NUGGET_LADDER} reaches held-out R^2 >= {r2_target}"
         )
     nugget, r2 = best
     factorization = None

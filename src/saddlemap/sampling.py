@@ -1,10 +1,9 @@
 """Point-cloud generation on the manifold and chart inversion via a tethered SDE.
 
-Two cloud samplers: flow perturbation (perturb the base point, project, ride
-the force field for a short horizon) and overdamped Brownian dynamics with
-per-step projection. Both are deterministic given the seed; flow-perturbation
-walkers draw from counter-split generators so a parallel run would produce
-the same cloud as the sequential one.
+The cloud sampler perturbs the base point, projects, and rides the force
+field for a short horizon. It is deterministic given the seed: walkers draw
+from counter-split generators, so a parallel run would produce the same cloud
+as the sequential one.
 """
 from __future__ import annotations
 
@@ -19,17 +18,17 @@ from .errors import NonFiniteEvaluationError, TetherResidualError
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs of the cloud samplers.
+    """Knobs of the cloud sampler and of the tethered SDE.
 
-    ``method`` picks the sampling variant ('flow' or 'brownian'); ``tau`` is
-    the flow horizon and must equal dt * n_steps when flow sampling is used.
+    ``method`` names the sampling variant; 'flow' is the only one. ``tau`` is
+    the flow horizon and must equal dt * n_steps when it is positive.
+    ``sigma`` is the noise scale of the tethered SDE.
     """
 
     n_samples: int = 1000
     sigma: float = 0.0
     dt: float = 1e-3
     n_steps: int = 0
-    thinning: int = 10
     perturbation_scale: float = 0.2
     tau: float = 0.0
     seed: int = 0
@@ -40,11 +39,9 @@ class SamplerConfig:
             raise ValueError("need at least two samples per cloud")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
         if self.sigma < 0 or self.perturbation_scale < 0 or self.tau < 0:
             raise ValueError("noise scales and the flow horizon must be nonnegative")
-        if self.method not in ("flow", "brownian"):
+        if self.method != "flow":
             raise ValueError(f"unknown sampling method {self.method!r}")
 
 
@@ -66,21 +63,16 @@ def _walker_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _check_base(problem, base: np.ndarray) -> np.ndarray:
-    base = np.asarray(base, dtype=float)
-    residual = np.linalg.norm(problem.project(base) - base)
-    if residual > 1e-8:
-        raise ValueError(f"base point is off the manifold (projection residual {residual:.2e})")
-    return base
-
-
-def sample_flow_perturbation(problem, base: np.ndarray, cfg: SamplerConfig) -> PointCloud:
+def sample_cloud(problem, base: np.ndarray, cfg: SamplerConfig) -> PointCloud:
     """Perturb the base isotropically, project, and ride the force flow for tau.
 
     With tau = 0 the cloud is the projected perturbation itself. Forces are
     evaluated at the final (projected) points.
     """
-    base = _check_base(problem, base)
+    base = np.asarray(base, dtype=float)
+    residual = np.linalg.norm(problem.project(base) - base)
+    if residual > 1e-8:
+        raise ValueError(f"base point is off the manifold (projection residual {residual:.2e})")
     n_flow = 0
     if cfg.tau > 0.0:
         n_flow = cfg.n_steps
@@ -104,45 +96,12 @@ def sample_flow_perturbation(problem, base: np.ndarray, cfg: SamplerConfig) -> P
     return PointCloud(points=points, forces=forces, base_point=base)
 
 
-def sample_brownian(problem, base: np.ndarray, cfg: SamplerConfig) -> PointCloud:
-    """Euler-Maruyama chain q <- q + X(q) dt + sigma sqrt(dt) xi, projected each step.
-
-    Keeps every ``thinning``-th state after the initial one, for a total of
-    ``n_samples`` states.
-    """
-    base = _check_base(problem, base)
-    rng = np.random.default_rng([cfg.seed, 0])
-    sqrt_dt = np.sqrt(cfg.dt)
-    q = base.copy()
-    points = np.empty((cfg.n_samples, base.shape[0]))
-    kept = 0
-    step = 0
-    while kept < cfg.n_samples:
-        step += 1
-        noise = rng.standard_normal(base.shape[0])
-        q = q + cfg.dt * problem.force(q) + cfg.sigma * sqrt_dt * noise
-        q = problem.project(q)
-        if not np.all(np.isfinite(q)):
-            raise NonFiniteEvaluationError(f"Brownian chain diverged at step {step}", point=q)
-        if step % cfg.thinning == 0:
-            points[kept] = q
-            kept += 1
-    forces = np.vstack([problem.force(p) for p in points])
-    return PointCloud(points=points, forces=forces, base_point=base)
-
-
-def sample_cloud(problem, base: np.ndarray, cfg: SamplerConfig) -> PointCloud:
-    if cfg.method == "flow":
-        return sample_flow_perturbation(problem, base, cfg)
-    return sample_brownian(problem, base, cfg)
-
-
 def invert_chart_via_tether(
     problem,
     phi,
     tether: TetherConfig,
     cfg: SamplerConfig,
-    start: Optional[np.ndarray] = None,
+    start: np.ndarray,
     tol: Optional[float] = None,
 ) -> np.ndarray:
     """Find an ambient point whose chart image is (approximately) target_phi.
@@ -157,8 +116,6 @@ def invert_chart_via_tether(
     fall back to a direct inverse-map regression.
     """
     target = np.asarray(tether.target_phi, dtype=float)
-    if start is None:
-        start = problem.project(np.asarray(phi.train_inputs[0], dtype=float))
     q = problem.project(np.asarray(start, dtype=float))
     rng = np.random.default_rng([cfg.seed, 1])
     sqrt_dt = np.sqrt(cfg.dt)

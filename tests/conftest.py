@@ -39,12 +39,9 @@ def random_spd(rng, d=2, scale=1.0):
 class LinearChartStub:
     """Duck-typed regressor computing a fixed linear map x -> A x + b."""
 
-    def __init__(self, a, b=None, train_inputs=None):
+    def __init__(self, a, b=None):
         self.a = np.asarray(a, dtype=float)
         self.b = np.zeros(self.a.shape[0]) if b is None else np.asarray(b, dtype=float)
-        self.train_inputs = (
-            np.zeros((1, self.a.shape[1])) if train_inputs is None else train_inputs
-        )
 
     def predict(self, x):
         return self.a @ np.asarray(x, dtype=float) + self.b

@@ -83,6 +83,30 @@ class TestRunCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["mode"] == "exact_chart"
 
+    @staticmethod
+    def run_raw(tmp_path, raw):
+        path = tmp_path / "raw.json"
+        path.write_text(json.dumps(raw))
+        return cli.main(["run", str(path)])
+
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        assert self.run_raw(tmp_path, []) == 1
+        assert "invalid config" in capsys.readouterr().err
+
+    def test_non_object_driver_rejected(self, tmp_path, capsys):
+        raw = {"problem": "sphere", "output_dir": str(tmp_path / "out"), "driver": 5}
+        assert self.run_raw(tmp_path, raw) == 1
+        assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_knob_rejected(self, tmp_path, capsys):
+        # rank_tol is a module constant now; setting it must not pass silently
+        raw = {"problem": "sphere", "output_dir": str(tmp_path / "out"),
+               "driver": {"rank_tol": 0.3}}
+        assert self.run_raw(tmp_path, raw) == 1
+        assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestValidateGeometry:
     def test_analytic_paths_pass(self, tmp_path):

@@ -11,6 +11,8 @@ from saddlemap.driver import (
     EXIT_CONVERGED,
     EXIT_STEP_BUDGET,
     EXIT_TRUST_REGION,
+    MAX_TRIAL_POINTS,
+    N_DMAP_COMPONENTS,
     VERDICT_SADDLE_FOUND,
     _derive_seed,
     _handoff_to_ambient,
@@ -155,7 +157,7 @@ class TestChartBuildMemory:
 
 
 class TestChartFactorizations:
-    """Above max_trial_points a chart factors two N-row systems, not three."""
+    """Above MAX_TRIAL_POINTS a chart factors two N-row systems, not three."""
 
     @staticmethod
     def factored_rows(monkeypatch, cfg):
@@ -172,16 +174,16 @@ class TestChartFactorizations:
 
     def test_two_full_factorizations_above_trial_cap(self, monkeypatch):
         cfg = mb_chart_cfg(2500)
-        assert cfg.sampler.n_samples > cfg.max_trial_points
+        assert cfg.sampler.n_samples > MAX_TRIAL_POINTS
         rows = self.factored_rows(monkeypatch, cfg)
-        # the ranking fit comes first, on max_trial_points rows; phi (shared
+        # the ranking fit comes first, on MAX_TRIAL_POINTS rows; phi (shared
         # with the chart force) and psi are the two full-N systems
-        assert rows[0] == cfg.max_trial_points
+        assert rows[0] == MAX_TRIAL_POINTS
         assert rows.count(2500) == 2
 
     def test_ranking_sees_every_row_up_to_trial_cap(self, monkeypatch):
         cfg = mb_chart_cfg(1000)
-        assert cfg.sampler.n_samples <= cfg.max_trial_points
+        assert cfg.sampler.n_samples <= MAX_TRIAL_POINTS
         rows = self.factored_rows(monkeypatch, cfg)
         assert rows[0] == 1000
         assert rows.count(1000) == 3
@@ -198,15 +200,15 @@ class TestRankingParity:
         points = sample_cloud(benchmarks.surface_problem(), benchmarks.mb_start_point(), sampler).points
         sq = squared_distances(points, points)
         eps = median_bandwidth(sq)
-        dmap = diffusion_maps(points, eps, cfg.n_dmap_components, sq=sq)
+        dmap = diffusion_maps(points, eps, N_DMAP_COMPONENTS, sq=sq)
 
         full = regression.fit(points, dmap.coordinates, eps, 1e-6, reuse_kernel=dmap.kernel)
         eval_idx = np.unique(np.linspace(0, n - 1, 50).astype(int))
         jacobians = [full.predict_with_derivatives(points[i], order=1)[1] for i in eval_idx]
-        reference = select_chart_components(dmap, jacobians, cfg.rank_tol)
+        reference = select_chart_components(dmap, jacobians)
 
-        assert n > cfg.max_trial_points
-        assert _rank_chart_components(points, dmap, eps, cfg) == reference
+        assert n > MAX_TRIAL_POINTS
+        assert _rank_chart_components(points, dmap, eps) == reference
 
 
 class TestLearnedStep:

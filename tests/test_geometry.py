@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from saddlemap import benchmarks
 from saddlemap.errors import DegenerateChartError
@@ -9,9 +12,6 @@ from saddlemap.geometry import (
     christoffel,
     covariant_hessian_from_force,
     gad_extended_field,
-    geodesic_rhs,
-    householder_reflect,
-    integrate_gad,
     isd_field,
     metric_from_jacobian,
     rayleigh_quotient,
@@ -27,35 +27,6 @@ CHART = benchmarks.StereographicSphereChart()
 def metric_tensor(g):
     g = np.asarray(g, dtype=float)
     return MetricTensor(g=g, g_inv=np.linalg.inv(g))
-
-
-class TestHouseholder:
-    def test_reflection_across_e1(self):
-        out = householder_reflect(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-        assert np.allclose(out, [1.0, -1.0])
-
-    def test_maps_v_to_minus_v(self):
-        out = householder_reflect(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        assert np.allclose(out, [0.0, -1.0])
-
-    def test_diagonal_direction(self):
-        v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        out = householder_reflect(v, np.array([1.0, 0.0]))
-        assert np.allclose(out, [0.0, -1.0])
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            householder_reflect(np.array([0.0, 2.0]), np.array([1.0, 0.0]))
-
-    def test_involution_and_isometry(self, rng):
-        for _ in range(20):
-            g = metric_tensor(random_spd(rng, 3))
-            v = rng.standard_normal(3)
-            v = v / g.norm(v)
-            w = rng.standard_normal(3)
-            hw = householder_reflect(v, w, g)
-            assert abs(g.norm(hw) - g.norm(w)) < 1e-10
-            assert np.max(np.abs(householder_reflect(v, hw, g) - w)) < 1e-10
 
 
 class TestRayleighQuotient:
@@ -111,14 +82,6 @@ class TestGADField:
         )
         assert np.allclose(dx, [2.0, 0.0])
         assert np.allclose(dv, [0.0, 0.0])
-
-    def test_norm_drift_without_renormalization(self):
-        v0 = np.array([0.6, 0.8])
-        state = integrate_gad(
-            quad_grad, quad_hess, GADState(np.array([1.0, 1.0]), v0),
-            dt=1e-4, n_steps=1000, renormalize=False,
-        )
-        assert abs(np.linalg.norm(state.v) - 1.0) < 1e-4
 
 
 class TestMetricFromJacobian:
@@ -387,11 +350,40 @@ class TestISDField:
         assert np.all(np.linalg.eigvals(jac).real < 0.0)
 
 
-class TestGeodesics:
-    def test_flat_straight_lines(self):
-        gamma = christoffel(lambda u: metric_tensor(np.eye(2)), np.zeros(2))
-        assert np.allclose(geodesic_rhs(np.zeros(2), np.array([1.0, 2.0]), gamma), 0.0)
+@st.composite
+def reflection_cases(draw):
+    """A random SPD metric g (g >= I), a g-unit vector v and a vector w."""
+    d = draw(st.integers(1, 4))
+    entries = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    a = draw(arrays(np.float64, (d, d), elements=entries))
+    g = metric_tensor(a @ a.T + np.eye(d))
+    v = draw(arrays(np.float64, d, elements=entries).filter(lambda x: np.linalg.norm(x) > 1e-2))
+    w = draw(arrays(np.float64, d, elements=entries))
+    return g, v / g.norm(v), w
 
+
+class TestISDReflectionProperties:
+    """isd_field is the g-orthogonal reflection across the soft mode v."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(reflection_cases())
+    def test_isometry_and_involution(self, case):
+        g, v, w = case
+        hw = isd_field(w, v, g)
+        scale = 1.0 + g.norm(w)
+        assert abs(g.norm(hw) - g.norm(w)) <= 1e-10 * scale
+        assert np.max(np.abs(isd_field(hw, v, g) - w)) <= 1e-10 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(reflection_cases())
+    def test_negates_v_and_fixes_complement(self, case):
+        g, v, w = case
+        assert np.max(np.abs(isd_field(v, v, g) + v)) <= 1e-12
+        perp = w - g.inner(v, w) * v
+        assert np.max(np.abs(isd_field(perp, v, g) - perp)) <= 1e-10 * (1.0 + g.norm(w))
+
+
+class TestGeodesics:
     def _integrate_geodesic(self, u0, du0, t_final, n_steps):
         # RK4 on the second-order geodesic system
         u, du = np.array(u0, dtype=float), np.array(du0, dtype=float)
@@ -401,7 +393,7 @@ class TestGeodesics:
             def rhs(state):
                 uu, dd = state
                 gam = CHART.christoffel(uu)
-                return np.array([dd, geodesic_rhs(uu, dd, gam)])
+                return np.array([dd, -np.einsum("ljk,j,k->l", gam.gamma, dd, dd)])
 
             s = np.array([u, du])
             k1 = rhs(s)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -9,9 +7,7 @@ from saddlemap.sampling import (
     SamplerConfig,
     TetherConfig,
     invert_chart_via_tether,
-    sample_brownian,
     sample_cloud,
-    sample_flow_perturbation,
 )
 
 from conftest import LinearChartStub, flat_problem
@@ -23,12 +19,12 @@ SINK = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)
 class TestFlowPerturbation:
     def test_zero_scale_zero_horizon_copies_base(self):
         cfg = SamplerConfig(n_samples=5, perturbation_scale=0.0, tau=0.0, seed=1)
-        cloud = sample_flow_perturbation(SPHERE, SINK, cfg)
+        cloud = sample_cloud(SPHERE, SINK, cfg)
         assert np.allclose(cloud.points, SINK[None, :], atol=1e-14)
 
     def test_points_stay_on_sphere(self):
         cfg = SamplerConfig(n_samples=200, perturbation_scale=0.3, tau=0.0, seed=2)
-        cloud = sample_flow_perturbation(SPHERE, SINK, cfg)
+        cloud = sample_cloud(SPHERE, SINK, cfg)
         radii = np.linalg.norm(cloud.points, axis=1)
         assert np.max(np.abs(radii - 1.0)) < 1e-10
 
@@ -36,10 +32,10 @@ class TestFlowPerturbation:
         # one-sided Monte-Carlo check: riding the descent flow concentrates
         # the cloud toward the sink
         base = SPHERE.project(SINK + np.array([0.3, -0.2, 0.1]))
-        still = sample_flow_perturbation(
+        still = sample_cloud(
             SPHERE, base, SamplerConfig(n_samples=1000, perturbation_scale=0.3, tau=0.0, seed=3)
         )
-        moved = sample_flow_perturbation(
+        moved = sample_cloud(
             SPHERE, base,
             SamplerConfig(n_samples=1000, perturbation_scale=0.3, tau=1.0, dt=1e-2,
                           n_steps=100, seed=3),
@@ -51,58 +47,17 @@ class TestFlowPerturbation:
     def test_inconsistent_flow_clock_rejected(self):
         cfg = SamplerConfig(n_samples=5, tau=1.0, dt=1e-2, n_steps=7, seed=0)
         with pytest.raises(ValueError):
-            sample_flow_perturbation(SPHERE, SINK, cfg)
+            sample_cloud(SPHERE, SINK, cfg)
 
     def test_off_manifold_base_rejected(self):
         cfg = SamplerConfig(n_samples=5, seed=0)
         with pytest.raises(ValueError):
-            sample_flow_perturbation(SPHERE, np.array([1.0, 1.0, 1.0]), cfg)
+            sample_cloud(SPHERE, np.array([1.0, 1.0, 1.0]), cfg)
 
-
-class TestBrownian:
-    def test_zero_noise_equals_euler_flow(self):
-        base = SPHERE.project(np.array([0.4, 0.8, -0.45]))
-        cfg = SamplerConfig(n_samples=10, sigma=0.0, dt=1e-3, thinning=3, seed=5)
-        cloud = sample_brownian(SPHERE, base, cfg)
-        q = base.copy()
-        expected = []
-        for step in range(1, 31):
-            q = SPHERE.project(q + cfg.dt * SPHERE.force(q))
-            if step % 3 == 0:
-                expected.append(q.copy())
-        assert np.array_equal(cloud.points, np.array(expected))
-
-    def test_single_step_definition(self):
-        problem = flat_problem(dim=2)
-        cfg = SamplerConfig(n_samples=2, sigma=0.7, dt=1.0, thinning=1, seed=11)
-        cloud = sample_brownian(problem, np.zeros(2), cfg)
-        rng = np.random.default_rng([11, 0])
-        xi1 = rng.standard_normal(2)
-        assert np.allclose(cloud.points[0], 0.7 * xi1, atol=1e-15)
-
-    def test_sigma_scaling_is_exact(self):
-        problem = flat_problem(dim=3)
-        base = np.zeros(3)
-        small = sample_brownian(problem, base, SamplerConfig(n_samples=4, sigma=0.1, dt=1.0, thinning=1, seed=7))
-        big = sample_brownian(problem, base, SamplerConfig(n_samples=4, sigma=0.2, dt=1.0, thinning=1, seed=7))
-        # increments double exactly; the kept states are partial sums
-        assert np.array_equal(big.points, 2.0 * small.points)
-
-    def test_sphere_smoke(self):
-        cfg = SamplerConfig(n_samples=1000, sigma=0.1, dt=1e-3, thinning=2, seed=9)
-        cloud = sample_brownian(SPHERE, SINK, cfg)
-        assert np.max(np.abs(np.linalg.norm(cloud.points, axis=1) - 1.0)) < 1e-10
-        energies = [SPHERE.energy(p) for p in cloud.points]
-        assert np.var(energies) > 0.0
-
-    def test_determinism(self):
-        cfg = SamplerConfig(n_samples=50, sigma=0.2, dt=1e-3, thinning=2, seed=123)
-        a = sample_brownian(SPHERE, SINK, cfg)
-        b = sample_brownian(SPHERE, SINK, cfg)
-        assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.forces, b.forces)
-        c = sample_cloud(SPHERE, SINK, dataclasses.replace(cfg, method="brownian"))
-        assert np.array_equal(a.points, c.points)
+    def test_only_flow_method_accepted(self):
+        assert SamplerConfig(method="flow").method == "flow"
+        with pytest.raises(ValueError):
+            SamplerConfig(method="brownian")
 
 
 class TestTether:
@@ -135,7 +90,7 @@ class TestTether:
         from saddlemap.dimred import bandwidth_median_rule, diffusion_maps
         from saddlemap.regression import fit
 
-        cloud = sample_flow_perturbation(
+        cloud = sample_cloud(
             SPHERE, SINK, SamplerConfig(n_samples=400, perturbation_scale=0.25, seed=21)
         )
         eps = bandwidth_median_rule(cloud.points)
@@ -166,8 +121,8 @@ class TestTether:
 class TestWalkerSplitting:
     def test_flow_clouds_reproducible(self):
         cfg = SamplerConfig(n_samples=64, perturbation_scale=0.2, seed=77)
-        a = sample_flow_perturbation(SPHERE, SINK, cfg)
-        b = sample_flow_perturbation(SPHERE, SINK, cfg)
+        a = sample_cloud(SPHERE, SINK, cfg)
+        b = sample_cloud(SPHERE, SINK, cfg)
         assert np.array_equal(a.points, b.points)
 
     def test_walkers_independent_of_order(self):
@@ -175,6 +130,6 @@ class TestWalkerSplitting:
         # generator seeded with (seed, walker index)
         cfg = SamplerConfig(n_samples=8, perturbation_scale=0.5, seed=31)
         problem = flat_problem(dim=3)
-        cloud = sample_flow_perturbation(problem, np.zeros(3), cfg)
+        cloud = sample_cloud(problem, np.zeros(3), cfg)
         rng5 = np.random.default_rng([31, 5])
         assert np.allclose(cloud.points[5], 0.5 * rng5.standard_normal(3), atol=1e-15)
