@@ -35,7 +35,13 @@ from .errors import (
 from .geometry import GeometryField, isd_field, smallest_eigpair
 from .kernels import squared_distances
 from .regression import ChartPair, RegressorModel, fit_with_nugget_selection
-from .sampling import SamplerConfig, TetherConfig, invert_chart_via_tether, sample_cloud
+from .sampling import (
+    SamplerConfig,
+    TetherConfig,
+    check_integer,
+    invert_chart_via_tether,
+    sample_cloud,
+)
 
 EXIT_CONVERGED = "converged"
 EXIT_TRUST_REGION = "trust_region"
@@ -53,6 +59,8 @@ TRUST_FACTOR = 3.0
 N_DMAP_COMPONENTS = 8
 # row cap of the component-ranking fit and of each fit's nugget trials
 MAX_TRIAL_POINTS = 2000
+# eigenvalue margin of the index-1 certificate
+TOL_INDEX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -79,16 +87,14 @@ class DriverConfig:
     n_ode_steps: int = 1000
     ode_dt: float = 1e-4
     tol_force: float = 1e-4
-    tol_index: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_iterations_max < 1 or self.n_ode_steps < 1:
-            raise ValueError("iteration and step budgets must be positive")
-        if self.ode_dt <= 0:
-            raise ValueError("ode_dt must be positive")
-        if self.tol_force <= 0 or self.tol_index <= 0:
-            raise ValueError("tol_force and tol_index must be positive")
+        check_integer("n_iterations_max", self.n_iterations_max, 1)
+        check_integer("n_ode_steps", self.n_ode_steps, 1)
+        check_integer("seed", self.seed, 0)
+        if self.ode_dt <= 0 or self.tol_force <= 0:
+            raise ValueError("ode_dt and tol_force must be positive")
 
 
 @dataclass
@@ -236,15 +242,13 @@ def build_local_chart(
 ) -> LocalChart:
     """Sample a cloud around ``base`` and learn chart, force field, geometry.
 
-    At most two N x N arrays are live at a time: a kernel and a Cholesky
-    factor. Raises DegenerateChartError / ChartFitError when the chart cannot
-    be trusted; the caller resamples with a fresh seed (at most three
-    attempts).
+    About two N x N arrays are live at a time (a kernel and a Cholesky
+    factor) plus the trial fits' submatrices. Raises DegenerateChartError /
+    ChartFitError when the chart cannot be trusted; the caller resamples
+    with a fresh seed (at most three attempts).
     """
-    sampler = dataclasses.replace(
-        cfg.sampler, seed=_derive_seed(cfg.seed, iteration, attempt, 0)
-    )
-    cloud = sample_cloud(problem, base, sampler)
+    seed = _derive_seed(cfg.seed, iteration, attempt, 0)
+    cloud = sample_cloud(problem, base, cfg.sampler, seed)
     points = cloud.points
     phi, chart_force, chart_samples = _fit_chart_map_and_force(cloud, cfg, iteration, attempt)
 
@@ -278,9 +282,9 @@ def check_convergence(force_norm: float, spectrum: np.ndarray, cfg: DriverConfig
     spectrum = np.asarray(spectrum, dtype=float)
     if force_norm >= cfg.tol_force:
         return False
-    if spectrum[0] >= -cfg.tol_index:
+    if spectrum[0] >= -TOL_INDEX:
         return False
-    return bool(np.all(spectrum[1:] > cfg.tol_index))
+    return bool(np.all(spectrum[1:] > TOL_INDEX))
 
 
 def integrate_isd_on_chart(
@@ -353,33 +357,24 @@ def integrate_isd_on_chart(
     return record
 
 
-def _handoff_to_ambient(problem, local: LocalChart, u_end: np.ndarray, cfg: DriverConfig,
-                        iteration: int) -> np.ndarray:
+def _handoff_to_ambient(problem, local: LocalChart, u_end: np.ndarray) -> np.ndarray:
     """Map a chart endpoint back to the manifold, preferring the inverse map.
 
-    Falls back to the tethered SDE when the phi(psi(u)) round trip misses by
-    more than a tenth of the chart diameter.
+    Falls back to the chart-inversion tether when the phi(psi(u)) round trip
+    misses by more than a tenth of the chart diameter.
     """
     psi, phi = local.chart.psi, local.chart.phi
+    tol = 0.1 * local.chart.chart_diameter()
     x_direct = problem.project(psi.predict(u_end))
     roundtrip = float(np.linalg.norm(phi.predict(x_direct) - u_end))
-    if roundtrip > 0.1 * local.chart.chart_diameter():
+    if roundtrip > tol:
         _, jac, _ = phi.predict_with_derivatives(x_direct, order=1)
         scale = max(float(np.linalg.norm(jac, 2)) ** 2, 1e-12)
-        kappa = 1.0
-        tether = TetherConfig(kappa=kappa, target_phi=u_end, burn_in=150, n_average=50)
-        sde_cfg = dataclasses.replace(
-            cfg.sampler,
-            sigma=0.0,
-            dt=min(0.5 / (kappa * scale), 1e3),
-            seed=_derive_seed(cfg.seed, iteration, 99),
+        tether = TetherConfig(
+            kappa=1.0, target_phi=u_end, dt=min(0.5 / scale, 1e3), burn_in=150, n_average=50
         )
         try:
-            x_tether = invert_chart_via_tether(
-                problem, phi, tether, sde_cfg,
-                start=x_direct,
-                tol=0.1 * local.chart.chart_diameter(),
-            )
+            x_tether = invert_chart_via_tether(problem, phi, tether, start=x_direct, tol=tol)
         except (TetherResidualError, NonFiniteEvaluationError):
             return x_direct  # keep the direct inverse-map estimate
         return problem.project(x_tether)
@@ -444,7 +439,7 @@ def run_search(
         if mode == "exact_chart":
             x = problem.project(problem.exact_chart.psi(u_end))
         else:
-            x = _handoff_to_ambient(problem, local, u_end, cfg, iteration)
+            x = _handoff_to_ambient(problem, local, u_end)
 
         if record.exit_reason == EXIT_CONVERGED:
             # accept only when the ambient force confirms the chart-level

@@ -23,7 +23,7 @@ class NonFiniteEvaluationError(SaddlemapError):
 
 
 class TetherResidualError(SaddlemapError):
-    """The tethered SDE landed too far from the prescribed chart point.
+    """The chart-inversion tether landed too far from the prescribed chart point.
     Carries the best point found so the caller can fall back gracefully."""
 
     def __init__(self, message, point=None, residual=None):

@@ -188,11 +188,10 @@ def fit_with_nugget_selection(
     eps: float,
     rng: np.random.Generator,
     reuse_kernel: Optional[np.ndarray] = None,
-    r2_target: float = R2_TARGET,
     max_trial_points: Optional[int] = None,
     factorization_cache: Optional[dict] = None,
 ) -> tuple[RegressorModel, float]:
-    """Fit with the smallest nugget whose held-out R^2 reaches the target.
+    """Fit with the smallest nugget whose held-out R^2 reaches R2_TARGET.
 
     Trial fits run on an 80/20 split (optionally capped at
     ``max_trial_points`` rows for large clouds); the winning nugget is then
@@ -224,12 +223,12 @@ def fit_with_nugget_selection(
         except ChartFitError:
             continue
         r2 = score(model, inputs[te], targets[te])
-        if r2 >= r2_target:
+        if r2 >= R2_TARGET:
             best = (nugget, r2)
             break
     if best is None:
         raise ChartFitError(
-            f"no nugget in {NUGGET_LADDER} reaches held-out R^2 >= {r2_target}"
+            f"no nugget in {NUGGET_LADDER} reaches held-out R^2 >= {R2_TARGET}"
         )
     nugget, r2 = best
     factorization = None

@@ -227,7 +227,7 @@ class TestChartInvariantScalars:
         problem = benchmarks.sphere_problem()
         base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
         cfg = DriverConfig(
-            sampler=SamplerConfig(n_samples=600, perturbation_scale=0.15, seed=5),
+            sampler=SamplerConfig(n_samples=600, perturbation_scale=0.15),
             seed=5,
         )
         local = build_local_chart(problem, base, cfg)

@@ -100,9 +100,31 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
     def test_removed_knob_rejected(self, tmp_path, capsys):
-        # rank_tol is a module constant now; setting it must not pass silently
-        raw = {"problem": "sphere", "output_dir": str(tmp_path / "out"),
-               "driver": {"rank_tol": 0.3}}
+        # module constants or gone (the sampler's flow horizon and seed, the
+        # tether noise); setting one must not pass silently
+        removed = [
+            {"rank_tol": 0.3},
+            {"tol_index": 1e-8},
+            {"sampler": {"seed": 987654}},
+            {"sampler": {"sigma": 5.0}},
+            {"sampler": {"dt": 0.7}},
+            {"sampler": {"n_steps": 10}},
+            {"sampler": {"tau": 1.0}},
+        ]
+        for driver in removed:
+            raw = {"problem": "sphere", "output_dir": str(tmp_path / "out"), "driver": driver}
+            assert self.run_raw(tmp_path, raw) == 1, driver
+            assert "invalid config" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("driver", [
+        {"n_ode_steps": 50.5},
+        {"n_iterations_max": 1.5},
+        {"sampler": {"n_samples": 300.5}},
+        {"seed": -1},
+    ], ids=["fractional_steps", "fractional_iterations", "fractional_samples", "negative_seed"])
+    def test_fractional_count_or_negative_seed_rejected(self, tmp_path, capsys, driver):
+        raw = {"problem": "sphere", "output_dir": str(tmp_path / "out"), "driver": driver}
         assert self.run_raw(tmp_path, raw) == 1
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -34,7 +34,7 @@ CHART = benchmarks.StereographicSphereChart()
 
 def small_cfg(**overrides):
     defaults = dict(
-        sampler=SamplerConfig(n_samples=500, perturbation_scale=0.15, seed=0),
+        sampler=SamplerConfig(n_samples=500, perturbation_scale=0.15),
         n_iterations_max=5,
         n_ode_steps=200,
         ode_dt=1e-4,
@@ -47,15 +47,15 @@ def small_cfg(**overrides):
 
 class TestCheckConvergence:
     def test_index_one_accepted(self):
-        cfg = small_cfg(tol_force=1e-6, tol_index=1e-8)
+        cfg = small_cfg(tol_force=1e-6)
         assert check_convergence(1e-9, np.array([-1.0, 2.0]), cfg)
 
     def test_index_two_rejected(self):
-        cfg = small_cfg(tol_force=1e-6, tol_index=1e-8)
+        cfg = small_cfg(tol_force=1e-6)
         assert not check_convergence(1e-9, np.array([-1.0, -0.5]), cfg)
 
     def test_large_force_rejected(self):
-        cfg = small_cfg(tol_force=1e-6, tol_index=1e-8)
+        cfg = small_cfg(tol_force=1e-6)
         assert not check_convergence(0.1, np.array([-1.0, 2.0]), cfg)
 
 
@@ -196,8 +196,10 @@ class TestRankingParity:
         # build_local_chart samples it
         n = 3000
         cfg = mb_chart_cfg(n, seed)
-        sampler = dataclasses.replace(cfg.sampler, seed=_derive_seed(seed, 1, 0, 0))
-        points = sample_cloud(benchmarks.surface_problem(), benchmarks.mb_start_point(), sampler).points
+        points = sample_cloud(
+            benchmarks.surface_problem(), benchmarks.mb_start_point(), cfg.sampler,
+            _derive_seed(seed, 1, 0, 0),
+        ).points
         sq = squared_distances(points, points)
         eps = median_bandwidth(sq)
         dmap = diffusion_maps(points, eps, N_DMAP_COMPONENTS, sq=sq)
@@ -277,7 +279,7 @@ class TestRunSearch:
 
         problem = dataclasses.replace(SPHERE, project=counting_project)
         u_end = local.chart.phi.predict(base)
-        x = _handoff_to_ambient(problem, local, u_end, small_cfg(), iteration=1)
+        x = _handoff_to_ambient(problem, local, u_end)
         assert len(calls) == 1
         assert np.linalg.norm(x - base) < 1e-2
 
@@ -335,7 +337,7 @@ class TestSphereLongRun:
         saddles = rep.saddles()
         start = benchmarks.sphere_search_start(rep)
         cfg = DriverConfig(
-            sampler=SamplerConfig(n_samples=1000, perturbation_scale=0.15, seed=0),
+            sampler=SamplerConfig(n_samples=1000, perturbation_scale=0.15),
             n_iterations_max=100,
             n_ode_steps=1000,
             ode_dt=1e-4,

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from saddlemap import benchmarks
 from saddlemap.errors import DegenerateChartError
 from saddlemap.geometry import (
+    CovariantHessian,
     GADState,
     MetricTensor,
     christoffel,
@@ -164,7 +165,7 @@ class TestEvaluate:
         from saddlemap.sampling import SamplerConfig
 
         base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
-        cfg = DriverConfig(sampler=SamplerConfig(n_samples=500, perturbation_scale=0.15, seed=0), seed=0)
+        cfg = DriverConfig(sampler=SamplerConfig(n_samples=500, perturbation_scale=0.15), seed=0)
         local = build_local_chart(benchmarks.sphere_problem(), base, cfg)
         psi, chart_force = local.chart.psi, local.geometry.chart_force
         for q in local.cloud.points[::50]:
@@ -382,6 +383,73 @@ class TestISDReflectionProperties:
         perp = w - g.inner(v, w) * v
         assert np.max(np.abs(isd_field(perp, v, g) - perp)) <= 1e-10 * (1.0 + g.norm(w))
 
+
+
+# entries on a 1e-6 grid: zero or at least 1e-6 in magnitude, so the
+# products below stay clear of underflow
+grid_entries = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False).map(
+    lambda x: round(x, 6)
+)
+
+
+@st.composite
+def metric_cases(draw):
+    """A random SPD metric g (g >= I) and a metric derivative dg[i, j, k] =
+    d g_ij / d u^k, symmetric in i and j."""
+    d = draw(st.integers(1, 4))
+    a = draw(arrays(np.float64, (d, d), elements=grid_entries))
+    raw = draw(arrays(np.float64, (d, d, d), elements=grid_entries))
+    return metric_tensor(a @ a.T + np.eye(d)), raw + raw.transpose(1, 0, 2)
+
+
+@st.composite
+def index_one_cases(draw):
+    """A random SPD metric g and a symmetric h_lower with one negative
+    eigenvalue, eigenvalue magnitudes in [0.1, 10]."""
+    d = draw(st.integers(1, 4))
+    a = draw(arrays(np.float64, (d, d), elements=grid_entries))
+    q, _ = np.linalg.qr(draw(arrays(np.float64, (d, d), elements=grid_entries)))
+    mags = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d)))
+    mags[0] = -mags[0]
+    return metric_tensor(a @ a.T + np.eye(d)), q @ np.diag(mags) @ q.T
+
+
+class TestChristoffelProperties:
+    """The analytic connection is the Levi-Civita connection of g."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(metric_cases())
+    def test_lower_index_symmetry(self, case):
+        g, dg = case
+        gamma = christoffel(lambda _: g, np.zeros(g.dim), metric_jacobian=lambda _: dg).gamma
+        assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(metric_cases())
+    def test_metric_compatibility(self, case):
+        # d_k g_ij = g_il Gamma^l_jk + g_jl Gamma^l_ik
+        g, dg = case
+        gamma = christoffel(lambda _: g, np.zeros(g.dim), metric_jacobian=lambda _: dg).gamma
+        lowered = np.einsum("il,ljk->ijk", g.g, gamma)
+        rebuilt = lowered + lowered.transpose(1, 0, 2)
+        assert np.max(np.abs(rebuilt - dg)) <= 1e-12 * np.max(np.abs(dg))
+
+
+class TestISDFixedPointProperties:
+    """An index-1 saddle of the linearized force is a stable fixed point of
+    the reflected field."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(index_one_cases())
+    def test_saddle_is_stable_fixed_point(self, case):
+        g, h_lower = case
+        h_mixed = g.g_inv @ h_lower
+        _, v, _ = smallest_eigpair(CovariantHessian(h_lower=h_lower, h_mixed=h_mixed), g)
+        assert np.all(isd_field(np.zeros(g.dim), v, g) == 0.0)
+        # u -> isd_field(-h_mixed u, v, g) is linear, so its columns on the
+        # unit vectors are its Jacobian
+        jac = np.column_stack([isd_field(-h_mixed @ e, v, g) for e in np.eye(g.dim)])
+        assert np.max(np.linalg.eigvals(jac).real) < 0.0
 
 class TestGeodesics:
     def _integrate_geodesic(self, u0, du0, t_final, n_steps):

@@ -234,7 +234,7 @@ class TestNuggetSelection:
         x = rng.uniform(-1, 1, (60, 1))
         noise = rng.standard_normal((60, 1))
         with pytest.raises(ChartFitError):
-            fit_with_nugget_selection(x, noise, eps=1e-6, rng=rng, r2_target=0.999999)
+            fit_with_nugget_selection(x, noise, eps=1e-6, rng=rng)
 
 
 class TestChartPair:
