@@ -90,6 +90,9 @@ def _json_object(value, name: str) -> dict:
 def load_run_config(path: str | Path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = _json_object(json.load(fh), "the config")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(RunConfig)})
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
     problem = raw.get("problem")
     if problem not in PROBLEM_DEFAULTS:
         raise ValueError(f"config must set problem to one of {sorted(PROBLEM_DEFAULTS)}")

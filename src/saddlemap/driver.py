@@ -34,7 +34,7 @@ from .errors import (
 )
 from .geometry import GeometryField, isd_field, smallest_eigpair
 from .kernels import squared_distances
-from .regression import ChartPair, RegressorModel, fit_with_nugget_selection
+from .regression import MAX_TRIAL_POINTS, ChartPair, RegressorModel, fit_with_nugget_selection
 from .sampling import (
     SamplerConfig,
     TetherConfig,
@@ -57,8 +57,6 @@ VERDICT_FAILED = "failed"
 TRUST_FACTOR = 3.0
 # diffusion-map coordinates computed per cloud, before component selection
 N_DMAP_COMPONENTS = 8
-# row cap of the component-ranking fit and of each fit's nugget trials
-MAX_TRIAL_POINTS = 2000
 # eigenvalue margin of the index-1 certificate
 TOL_INDEX = 1e-6
 
@@ -93,8 +91,8 @@ class DriverConfig:
         check_integer("n_iterations_max", self.n_iterations_max, 1)
         check_integer("n_ode_steps", self.n_ode_steps, 1)
         check_integer("seed", self.seed, 0)
-        if self.ode_dt <= 0 or self.tol_force <= 0:
-            raise ValueError("ode_dt and tol_force must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (self.ode_dt, self.tol_force)):
+            raise ValueError("ode_dt and tol_force must be positive and finite")
 
 
 @dataclass
@@ -199,10 +197,11 @@ def _fit_chart_map_and_force(
 
     One squared-distance matrix of the cloud gives the median bandwidth and
     is then exponentiated in place into the diffusion-map kernel, which the
-    component ranking, phi, the chart force and the pushforward reuse. phi
-    and the chart force share one full-N Cholesky factor; the ranking fit
-    factors at most ``MAX_TRIAL_POINTS`` rows. That kernel and phi's
-    cached factor live only in this frame.
+    component ranking, phi, the chart force and the pushforward reuse. phi's
+    full-N Cholesky factor goes straight to the chart-force fit through the
+    kernel's ``factors`` dict; the ranking fit factors at most
+    ``MAX_TRIAL_POINTS`` rows. That kernel and phi's factor live only in
+    this frame.
     """
     points = cloud.points
     n = cloud.size
@@ -213,22 +212,14 @@ def _fit_chart_map_and_force(
     chart_dim, components = _rank_chart_components(points, dmap, eps)
 
     chart_samples = dmap.coordinates[:, components]
-    cache: dict = {}
+    factors: dict = {}
     rng_phi = np.random.default_rng([cfg.seed, iteration, attempt, 1])
-    phi, _ = fit_with_nugget_selection(
-        points, chart_samples, eps, rng_phi,
-        reuse_kernel=dmap.kernel,
-        max_trial_points=MAX_TRIAL_POINTS,
-        factorization_cache=cache,
-    )
+    phi, _ = fit_with_nugget_selection(points, chart_samples, eps, rng_phi, dmap.kernel, factors)
 
     pushforward = _pushforward_at_samples(phi, cloud, dmap.kernel)
     rng_force = np.random.default_rng([cfg.seed, iteration, attempt, 2])
     chart_force, _ = fit_with_nugget_selection(
-        points, pushforward, eps, rng_force,
-        reuse_kernel=dmap.kernel,
-        max_trial_points=MAX_TRIAL_POINTS,
-        factorization_cache=cache,
+        points, pushforward, eps, rng_force, dmap.kernel, factors
     )
     return phi, chart_force, chart_samples
 
@@ -253,16 +244,13 @@ def build_local_chart(
     phi, chart_force, chart_samples = _fit_chart_map_and_force(cloud, cfg, iteration, attempt)
 
     # psi's kernel comes from one squared-distance matrix of the chart
-    # samples, like the cloud's; its trial kernels are submatrices of it
+    # samples, like the cloud's; its trial and held-out blocks are
+    # submatrices of it
     sq_chart = squared_distances(chart_samples, chart_samples)
     eps_chart = median_bandwidth(sq_chart)
     psi_kernel = regression.gaussian_kernel(chart_samples, chart_samples, eps_chart, sq=sq_chart)
     rng_psi = np.random.default_rng([cfg.seed, iteration, attempt, 3])
-    psi, _ = fit_with_nugget_selection(
-        chart_samples, points, eps_chart, rng_psi,
-        reuse_kernel=psi_kernel,
-        max_trial_points=MAX_TRIAL_POINTS,
-    )
+    psi, _ = fit_with_nugget_selection(chart_samples, points, eps_chart, rng_psi, psi_kernel, {})
 
     tree = cKDTree(points)
     nn = tree.query(points, k=2)[0][:, 1]

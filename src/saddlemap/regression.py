@@ -2,13 +2,13 @@
 
 Used three ways in the pipeline: ambient -> chart coordinates (phi), chart ->
 ambient (psi), and the chart force field. Prediction is mean-only: the models
-act as smooth interpolants, never as uncertainty estimates. The kernel matrix
-of the diffusion-map step can be passed in verbatim as the covariance, saving
-its recomputation.
+act as smooth interpolants, never as uncertainty estimates. A chart build
+hands each fit the Gaussian kernel it already assembled (the diffusion-map
+kernel of the cloud, psi's kernel of the chart samples) and this module takes
+it as given: the nugget trials read submatrices of it and assemble nothing.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,6 +20,10 @@ from .kernels import gaussian_kernel
 
 NUGGET_LADDER = (1e-8, 1e-6, 1e-4)
 R2_TARGET = 0.99
+# row cap of the nugget trials (and of the driver's component-ranking fit)
+MAX_TRIAL_POINTS = 2000
+# share of the trial rows held out to score each nugget
+HOLDOUT_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -80,10 +84,10 @@ def fit(
     """Solve (K + nugget I) w = targets for the regression weights.
 
     ``reuse_kernel`` lets the caller supply the Gaussian kernel already
-    assembled for the same inputs and bandwidth (it is validated against a
-    recomputation at 1e-12). ``factorization`` may carry a Cholesky factor of
-    (K + nugget I) from :func:`kernel_factorization` to share across fits on
-    the same inputs; the kernel is then not assembled at all.
+    assembled for the same inputs and bandwidth; it is taken as given, and
+    only its shape is checked. ``factorization`` may carry a Cholesky factor
+    of (K + nugget I) from :func:`kernel_factorization` to share across fits
+    on the same inputs; the kernel is then not assembled at all.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.asarray(targets, dtype=float)
@@ -95,12 +99,9 @@ def fit(
         raise ValueError(f"nugget must be nonnegative, got {nugget}")
     if reuse_kernel is not None:
         kernel = np.asarray(reuse_kernel, dtype=float)
-        # spot-check the precondition on a row subset instead of recomputing
-        # the full matrix (recomputation is what reuse is meant to avoid)
-        rows = np.unique(np.linspace(0, inputs.shape[0] - 1, min(inputs.shape[0], 64)).astype(int))
-        check = gaussian_kernel(inputs[rows], inputs, eps)
-        if np.max(np.abs(kernel[rows] - check)) > 1e-12:
-            raise ValueError("reuse_kernel does not match the stated inputs/bandwidth")
+        n = inputs.shape[0]
+        if kernel.shape != (n, n):
+            raise ValueError(f"reuse_kernel has shape {kernel.shape}, expected {(n, n)}")
     elif factorization is None:
         kernel = gaussian_kernel(inputs, inputs, eps)
     if factorization is None:
@@ -133,16 +134,19 @@ def kernel_factorization(kernel: np.ndarray, nugget: float):
 
 
 def score(model: RegressorModel, test_inputs: np.ndarray, test_targets: np.ndarray) -> float:
+    """:func:`r_squared` of the model's predictions at ``test_inputs``."""
+    return r_squared(model.predict_batch(test_inputs), test_targets)
+
+
+def r_squared(pred: np.ndarray, test_targets: np.ndarray) -> float:
     """Coefficient of determination averaged over output components.
 
     A zero-variance component scores 1 when predicted exactly and raises
     otherwise (R^2 is undefined there).
     """
-    test_inputs = np.atleast_2d(np.asarray(test_inputs, dtype=float))
     test_targets = np.asarray(test_targets, dtype=float)
     if test_targets.ndim == 1:
         test_targets = test_targets[:, None]
-    pred = model.predict_batch(test_inputs)
     ss_res = np.sum((pred - test_targets) ** 2, axis=0)
     ss_tot = np.sum((test_targets - test_targets.mean(axis=0)) ** 2, axis=0)
     r2 = np.empty(test_targets.shape[1])
@@ -175,10 +179,10 @@ class ChartPair:
         return float(np.linalg.norm(span))
 
 
-def holdout_split(n: int, fraction: float, rng: np.random.Generator):
-    """Deterministic train/test index split."""
+def holdout_split(n: int, rng: np.random.Generator):
+    """Deterministic train/test index split, ``HOLDOUT_FRACTION`` held out."""
     perm = rng.permutation(n)
-    n_test = max(1, int(round(fraction * n)))
+    n_test = max(1, int(round(HOLDOUT_FRACTION * n)))
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
@@ -187,60 +191,40 @@ def fit_with_nugget_selection(
     targets: np.ndarray,
     eps: float,
     rng: np.random.Generator,
-    reuse_kernel: Optional[np.ndarray] = None,
-    max_trial_points: Optional[int] = None,
-    factorization_cache: Optional[dict] = None,
+    kernel: np.ndarray,
+    factors: dict,
 ) -> tuple[RegressorModel, float]:
     """Fit with the smallest nugget whose held-out R^2 reaches R2_TARGET.
 
-    Trial fits run on an 80/20 split (optionally capped at
-    ``max_trial_points`` rows for large clouds); the winning nugget is then
-    refit on the full data. ``factorization_cache`` shares the full-data
-    Cholesky factor between fits of different targets on the same inputs,
-    bandwidth and nugget. Raises ChartFitError when no nugget on the ladder
-    reaches the target.
+    ``kernel`` is the Gaussian kernel of ``inputs`` at ``eps``, taken as
+    given. Trial fits run on an 80/20 split of at most ``MAX_TRIAL_POINTS``
+    rows: each trains on the submatrix K[tr, tr] and scores the held-out
+    predictions K[te, tr] @ w. The winning nugget is then refit on all rows.
+    ``factors`` maps a nugget to the Cholesky factor of this kernel's full
+    system; the caller creates one dict beside each kernel and passes it to
+    every fit on that kernel, so fits of different targets factor it once.
+    Raises ChartFitError when no nugget on the ladder reaches the target.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.asarray(targets, dtype=float)
-    if targets.ndim == 1:
-        targets = targets[:, None]
     n = inputs.shape[0]
-
     trial_idx = np.arange(n)
-    if max_trial_points is not None and n > max_trial_points:
-        trial_idx = np.sort(rng.permutation(n)[:max_trial_points])
-    tr, te = holdout_split(trial_idx.size, 0.2, rng)
+    if n > MAX_TRIAL_POINTS:
+        trial_idx = np.sort(rng.permutation(n)[:MAX_TRIAL_POINTS])
+    tr, te = holdout_split(trial_idx.size, rng)
     tr, te = trial_idx[tr], trial_idx[te]
+    trial_kernel = kernel[np.ix_(tr, tr)]
 
-    trial_kernel = None
-    if reuse_kernel is not None:
-        trial_kernel = np.asarray(reuse_kernel)[np.ix_(tr, tr)]
-
-    best = None
     for nugget in NUGGET_LADDER:
         try:
             model = fit(inputs[tr], targets[tr], eps, nugget, reuse_kernel=trial_kernel)
         except ChartFitError:
             continue
-        r2 = score(model, inputs[te], targets[te])
+        # sliced after the trial fit, so it never sits beside the trial factor
+        r2 = r_squared(kernel[np.ix_(te, tr)] @ model.weights, targets[te])
         if r2 >= R2_TARGET:
-            best = (nugget, r2)
             break
-    if best is None:
-        raise ChartFitError(
-            f"no nugget in {NUGGET_LADDER} reaches held-out R^2 >= {R2_TARGET}"
-        )
-    nugget, r2 = best
-    factorization = None
-    if factorization_cache is not None:
-        # a factor belongs to one system: the same rows, bandwidth and nugget
-        cache_key = (nugget, float(eps), inputs.shape,
-                     hashlib.blake2b(inputs.tobytes(), digest_size=16).digest())
-        factorization = factorization_cache.get(cache_key)
-    if factorization is None:
-        kernel = reuse_kernel if reuse_kernel is not None else gaussian_kernel(inputs, inputs, eps)
-        factorization = kernel_factorization(kernel, nugget)
-        if factorization_cache is not None:
-            factorization_cache[cache_key] = factorization
-    full = fit(inputs, targets, eps, nugget, reuse_kernel=reuse_kernel, factorization=factorization)
+    else:
+        raise ChartFitError(f"no nugget in {NUGGET_LADDER} reaches held-out R^2 >= {R2_TARGET}")
+    if nugget not in factors:
+        factors[nugget] = kernel_factorization(kernel, nugget)
+    full = fit(inputs, targets, eps, nugget, reuse_kernel=kernel, factorization=factors[nugget])
     return full, r2

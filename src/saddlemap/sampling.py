@@ -34,8 +34,8 @@ class SamplerConfig:
 
     def __post_init__(self):
         check_integer("n_samples", self.n_samples, 2)
-        if self.perturbation_scale < 0:
-            raise ValueError("perturbation_scale must be nonnegative")
+        if not (np.isfinite(self.perturbation_scale) and self.perturbation_scale >= 0):
+            raise ValueError("perturbation_scale must be nonnegative and finite")
         if self.tau != 0.0:
             raise ValueError(f"the sampler has no flow horizon: tau must be 0, got {self.tau!r}")
         if self.method != "flow":

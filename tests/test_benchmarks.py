@@ -176,6 +176,54 @@ class TestMBSurface:
         assert payload["indices"].count(1) == 2
 
 
+class TestBenchmarkInputsPinned:
+    """The start points and oracle reports the benchmark workloads run from.
+
+    A change to the oracles or the start-point code changes every search
+    the benchmark times, so it must show here first.
+    """
+
+    SPHERE_START = ("0x1.73d9399f2fb32p-1", "0x1.f1bd7f7fcd6b1p-2", "-0x1.f1bd7f7fcd6b1p-2")
+    MB_START = ("0x1.3f3b506281d4cp-1", "0x1.cb5ee1fbc432cp-6", "0x1.b7de54d29bce4p-1")
+    SPHERE_POINTS = np.array([
+        [-1.0, 0.0, 0.0],
+        [-0.5773502691896257, -0.5773502691896257, -0.5773502691896257],
+        [-0.5773502691896283, -0.5773502691896282, 0.577350269189624],
+        [-0.5773502691896257, 0.5773502691896257, -0.5773502691896257],
+        [-0.5773502691896257, 0.5773502691896257, 0.5773502691896258],
+        [0.0, -1.0, 0.0],
+        [0.0, 0.0, -1.0000000000000004],
+        [0.0, 0.0, 1.0],
+        [0.0, 1.0, 0.0],
+        [0.5773502691896257, -0.5773502691896258, -0.5773502691896257],
+        [0.5773502691896257, -0.5773502691896257, 0.5773502691896258],
+        [0.5773502691896257, 0.5773502691896258, -0.5773502691896258],
+        [0.5773502691896257, 0.5773502691896257, 0.5773502691896257],
+        [1.0, 0.0, 0.0],
+    ])
+    SPHERE_INDICES = [1, 0, 2, 2, 0, 1, 1, 1, 1, 2, 0, 0, 2, 1]
+    MB_POINTS = np.array([
+        [-0.8220015587327322, 0.6243128028148713, 0.9235025692618469],
+        [-0.5582236346330242, 1.4417258418046688, -0.6092567899133046],
+        [-0.050010822998206056, 0.4666941048719721, 1.0697628986772794],
+        [0.212486582000662, 0.2929883251073678, 1.0643742182746352],
+        [0.6234994049308766, 0.02803775852868566, 0.8591181284990879],
+    ])
+    MB_INDICES = [1, 0, 0, 1, 0]
+
+    def test_start_points_bitwise(self, sphere_report, mb_report):
+        sphere = benchmarks.sphere_search_start(sphere_report)
+        assert tuple(float(v).hex() for v in sphere) == self.SPHERE_START
+        assert tuple(float(v).hex() for v in benchmarks.mb_start_point(mb_report)) == self.MB_START
+
+    def test_oracle_reports(self, sphere_report, mb_report):
+        for report, points, indices in ((sphere_report, self.SPHERE_POINTS, self.SPHERE_INDICES),
+                                        (mb_report, self.MB_POINTS, self.MB_INDICES)):
+            assert report.points.shape == points.shape
+            assert np.max(np.abs(report.points - points)) <= 1e-12
+            assert report.indices.tolist() == indices
+
+
 class TestSurfaceEval:
     def test_table_coefficients(self):
         row = benchmarks.SURFACE_COEFFS[0]

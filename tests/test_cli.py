@@ -117,12 +117,32 @@ class TestRunCommand:
             assert "invalid config" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        # a knob put beside "driver" instead of inside it must not load
+        path = tmp_path / "raw.json"
+        path.write_text(json.dumps({
+            "problem": "sphere", "output_dir": str(tmp_path / "out"),
+            "driver": {"sampler": {"n_samples": 10}}, "n_ode_steps": 3,
+        }))
+        with pytest.raises(ValueError, match="n_ode_steps"):
+            cli.load_run_config(path)
+
+    # json.load accepts NaN and Infinity, which pass a plain <= 0 test
     @pytest.mark.parametrize("driver", [
         {"n_ode_steps": 50.5},
         {"n_iterations_max": 1.5},
         {"sampler": {"n_samples": 300.5}},
         {"seed": -1},
-    ], ids=["fractional_steps", "fractional_iterations", "fractional_samples", "negative_seed"])
+        {"ode_dt": float("nan")},
+        {"ode_dt": float("inf")},
+        {"tol_force": float("nan")},
+        {"tol_force": float("inf")},
+        {"sampler": {"perturbation_scale": float("nan")}},
+        {"sampler": {"perturbation_scale": float("inf")}},
+        {"sampler": {"perturbation_scale": float("-inf")}},
+    ], ids=["fractional_steps", "fractional_iterations", "fractional_samples", "negative_seed",
+            "nan_dt", "inf_dt", "nan_tol_force", "inf_tol_force", "nan_perturbation_scale",
+            "inf_perturbation_scale", "neg_inf_perturbation_scale"])
     def test_fractional_count_or_negative_seed_rejected(self, tmp_path, capsys, driver):
         raw = {"problem": "sphere", "output_dir": str(tmp_path / "out"), "driver": driver}
         assert self.run_raw(tmp_path, raw) == 1

@@ -36,12 +36,6 @@ class TestFit:
         without = fit(x, x[:, :2], eps, 1e-8)
         assert np.array_equal(with_reuse.weights, without.weights)
 
-    def test_reuse_kernel_validated(self, rng):
-        x = rng.uniform(-1, 1, (10, 2))
-        bad = gaussian_kernel(x, x, 0.7) + 1e-6
-        with pytest.raises(ValueError):
-            fit(x, x, eps=0.7, nugget=1e-8, reuse_kernel=bad)
-
     def test_duplicate_inputs_zero_nugget_raises(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ChartFitError):
@@ -53,6 +47,8 @@ class TestFit:
             fit(x, x, eps=-1.0, nugget=1e-8)
         with pytest.raises(ValueError):
             fit(x, x, eps=1.0, nugget=-1e-8)
+        with pytest.raises(ValueError):
+            fit(x, x, eps=1.0, nugget=1e-8, reuse_kernel=np.eye(3))
 
 
 class TestFactorization:
@@ -194,47 +190,43 @@ class TestNuggetSelection:
     def test_smallest_sufficient_nugget_chosen(self, rng):
         x = rng.uniform(-1, 1, (120, 2))
         y = np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
-        model, r2 = fit_with_nugget_selection(x, y, eps=0.4, rng=rng)
+        model, r2 = fit_with_nugget_selection(x, y, 0.4, rng, gaussian_kernel(x, x, 0.4), {})
         assert model.nugget == 1e-8
         assert r2 >= 0.99
 
-    def test_cache_keeps_systems_apart(self, rng):
-        # two input sets of one size that pick the same nugget share a
-        # cache; each model must still solve its own kernel system
-        def target(x):
-            return np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
-
-        cache: dict = {}
-        models = []
-        for x in (rng.uniform(-1, 1, (120, 2)), rng.uniform(-1, 1, (120, 2))):
-            cached, _ = fit_with_nugget_selection(
-                x, target(x), eps=0.4, rng=np.random.default_rng(7), factorization_cache=cache
-            )
-            fresh, _ = fit_with_nugget_selection(x, target(x), eps=0.4, rng=np.random.default_rng(7))
-            assert np.array_equal(cached.weights, fresh.weights)
-            models.append(cached)
-        assert models[0].nugget == models[1].nugget
-
     def test_reused_kernel_gives_identical_fit(self, rng):
-        # trial kernels taken as submatrices of a supplied kernel equal the
-        # ones assembled from the trial rows
-        x = rng.uniform(-1, 1, (150, 2))
-        y = np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
-        assembled, r2 = fit_with_nugget_selection(
-            x, y, eps=0.4, rng=np.random.default_rng(3), max_trial_points=100
-        )
-        reused, r2_reused = fit_with_nugget_selection(
-            x, y, eps=0.4, rng=np.random.default_rng(3), max_trial_points=100,
-            reuse_kernel=gaussian_kernel(x, x, 0.4),
-        )
-        assert r2_reused == r2 and reused.nugget == assembled.nugget
-        assert np.array_equal(reused.weights, assembled.weights)
+        # trial and held-out blocks taken as submatrices of the supplied
+        # kernel equal the kernels assembled from the split's rows, also
+        # when the trials run on a row subset
+        for n in (150, regression.MAX_TRIAL_POINTS + 100):
+            x = rng.uniform(-1, 1, (n, 2))
+            y = np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
+            factors: dict = {}
+            reused, r2_reused = fit_with_nugget_selection(
+                x, y, 0.4, np.random.default_rng(3), gaussian_kernel(x, x, 0.4), factors
+            )
+            split_rng = np.random.default_rng(3)
+            rows = np.arange(n)
+            if n > regression.MAX_TRIAL_POINTS:
+                rows = np.sort(split_rng.permutation(n)[:regression.MAX_TRIAL_POINTS])
+            tr, te = (rows[i] for i in regression.holdout_split(rows.size, split_rng))
+            for nugget in regression.NUGGET_LADDER:
+                try:
+                    trial = fit(x[tr], y[tr], 0.4, nugget)
+                except ChartFitError:
+                    continue
+                r2 = score(trial, x[te], y[te])
+                if r2 >= regression.R2_TARGET:
+                    break
+            assert r2_reused == r2 and reused.nugget == nugget
+            assert np.array_equal(reused.weights, fit(x, y, 0.4, nugget).weights)
+            assert list(factors) == [nugget]
 
     def test_unreachable_target_raises(self, rng):
         x = rng.uniform(-1, 1, (60, 1))
         noise = rng.standard_normal((60, 1))
         with pytest.raises(ChartFitError):
-            fit_with_nugget_selection(x, noise, eps=1e-6, rng=rng)
+            fit_with_nugget_selection(x, noise, 1e-6, rng, gaussian_kernel(x, x, 1e-6), {})
 
 
 class TestChartPair:
