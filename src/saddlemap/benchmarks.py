@@ -302,42 +302,112 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     ])
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair, bit for bit the 1-D ``a[i] @ b[i]``.
+
+    Stacked matmul calls the same BLAS ``ddot`` per row; ``einsum`` and
+    ``(a * b).sum(axis=1)`` round differently.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit the 1-D ``np.linalg.norm``."""
+    return np.sqrt(_row_dots(a, a))
+
+
+def _batched_newton(z, system, tol: float, radius: float, n_space: int):
+    """Newton's method on every row of ``z`` at once, 80 iterations at most.
+
+    ``system(z)`` returns the residuals (k, m) and Jacobians (k, m, m) of k
+    rows. Each row takes the steps the one-seed loop would take: it stops once
+    its residual norm is below ``tol``, and it is dropped when its Jacobian is
+    singular or its step leaves the finite ball of ``radius`` in the first
+    ``n_space`` coordinates. A row that uses every iteration is kept, for the
+    caller's residual test to judge. Dropped rows are never evaluated again.
+    Returns the final values of the rows kept, in row order.
+    """
+    z = np.array(z, dtype=float)
+    kept = np.ones(len(z), dtype=bool)
+    active = np.arange(len(z))
+    for _ in range(80):
+        f, jac = system(z[active])
+        moving = _row_norms(f) >= tol
+        active, f, jac = active[moving], f[moving], jac[moving]
+        if not len(active):
+            break
+        try:
+            step = np.linalg.solve(jac, f[:, :, None])[:, :, 0]
+            solved = np.ones(len(active), dtype=bool)
+        except np.linalg.LinAlgError:
+            # a singular matrix fails the whole stack: solve row by row once
+            step = np.zeros_like(f)
+            solved = np.zeros(len(active), dtype=bool)
+            for i in range(len(active)):
+                try:
+                    step[i] = np.linalg.solve(jac[i], f[i])
+                    solved[i] = True
+                except np.linalg.LinAlgError:
+                    pass
+        z_new = z[active] - step
+        stays = solved & np.all(np.isfinite(z_new), axis=1)
+        stays[stays] = _row_norms(z_new[stays, :n_space]) <= radius
+        z[active[stays]] = z_new[stays]
+        kept[active[~stays]] = False
+        active = active[stays]
+    return z[kept]
+
+
+def _first_found(points: np.ndarray) -> np.ndarray:
+    """Rows no closer than 1e-6 to any row kept before them, in row order."""
+    keep = []
+    covered = np.zeros(len(points), dtype=bool)
+    while not covered.all():
+        i = int(np.argmin(covered))
+        keep.append(i)
+        covered |= _row_norms(points - points[i]) < 1e-6
+    return points[keep]
+
+
+def _sphere_gradients(x: np.ndarray) -> np.ndarray:
+    """``sphere_energy_gradient`` of each row."""
+    return np.column_stack([x[:, 1] * x[:, 2], x[:, 0] * x[:, 2], x[:, 0] * x[:, 1]])
+
+
+def _sphere_lagrange_system(z: np.ndarray):
+    """F(x, lambda) = (grad E - lambda x, (|x|^2 - 1) / 2) and its Jacobian, per row."""
+    x, lam = z[:, :3], z[:, 3]
+    f = np.column_stack([_sphere_gradients(x) - lam[:, None] * x, 0.5 * (_row_dots(x, x) - 1.0)])
+    hess = np.zeros((len(z), 3, 3))
+    hess[:, 0, 1] = hess[:, 1, 0] = x[:, 2]
+    hess[:, 0, 2] = hess[:, 2, 0] = x[:, 1]
+    hess[:, 1, 2] = hess[:, 2, 1] = x[:, 0]
+    jac = np.zeros((len(z), 4, 4))
+    jac[:, :3, :3] = hess - lam[:, None, None] * np.eye(3)
+    jac[:, :3, 3] = -x
+    jac[:, 3, :3] = x
+    return f, jac
+
+
+def _sphere_newton(seeds: np.ndarray):
+    """Batched Newton on F from (seed, seed . grad E(seed)): the (x, lambda) rows kept."""
+    z = np.column_stack([seeds, _row_dots(seeds, _sphere_gradients(seeds))])
+    return _batched_newton(z, _sphere_lagrange_system, tol=1e-14, radius=5.0, n_space=3)
+
+
 def sphere_critical_points(n_seeds: int = 10_000) -> CriticalPointReport:
     """Solve the Lagrange condition grad E = lambda x by seeded Newton.
 
-    Newton runs on F(x, lambda) = (grad E - lambda x, (|x|^2 - 1) / 2);
-    converged roots are deduplicated at 1e-6 and classified by the spectrum
-    of the tangential Hessian P (hess E - lambda I) P.
+    Newton runs on F(x, lambda) = (grad E - lambda x, (|x|^2 - 1) / 2), batched
+    over all seeds; every seed is judged as a lone Newton loop would judge it.
+    Converged roots are deduplicated at 1e-6 in seed order and classified by
+    the spectrum of the tangential Hessian P (hess E - lambda I) P.
     """
-    found: list[np.ndarray] = []
-    for seed in _fibonacci_sphere(n_seeds):
-        z = np.append(seed, seed @ sphere_energy_gradient(seed))
-        ok = True
-        for _ in range(80):
-            x, lam = z[:3], z[3]
-            f = np.append(sphere_energy_gradient(x) - lam * x, 0.5 * (x @ x - 1.0))
-            if np.linalg.norm(f) < 1e-14:
-                break
-            jac = np.zeros((4, 4))
-            jac[:3, :3] = sphere_energy_hessian(x) - lam * np.eye(3)
-            jac[:3, 3] = -x
-            jac[3, :3] = x
-            try:
-                z = z - np.linalg.solve(jac, f)
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-            if not np.all(np.isfinite(z)) or np.linalg.norm(z[:3]) > 5.0:
-                ok = False
-                break
-        if not ok:
-            continue
-        x, lam = z[:3], z[3]
-        residual = np.linalg.norm(sphere_energy_gradient(x) - lam * x)
-        if residual > 1e-10 or abs(x @ x - 1.0) > 1e-12:
-            continue
-        if not any(np.linalg.norm(x - p) < 1e-6 for p in found):
-            found.append(x)
+    z = _sphere_newton(_fibonacci_sphere(n_seeds))
+    f, _ = _sphere_lagrange_system(z)
+    x = z[:, :3]
+    converged = (_row_norms(f[:, :3]) <= 1e-10) & (np.abs(_row_dots(x, x) - 1.0) <= 1e-12)
+    found = _first_found(x[converged])
 
     points = np.array(sorted(found, key=lambda p: (round(p[0], 9), round(p[1], 9), round(p[2], 9))))
     indices = []
@@ -358,31 +428,39 @@ def sphere_critical_points(n_seeds: int = 10_000) -> CriticalPointReport:
     )
 
 
+def _mb_newton_system(p: np.ndarray):
+    """grad MB and hess MB per row, with the arithmetic of ``mb_gradient`` / ``mb_hessian``."""
+    dx = p[:, :1] - MB_X0
+    dy = p[:, 1:] - MB_Y0
+    e = MB_A * np.exp(MB_a * dx * dx + MB_b * dx * dy + MB_c * dy * dy)
+    gx = 2.0 * MB_a * dx + MB_b * dy
+    gy = MB_b * dx + 2.0 * MB_c * dy
+    # a 4-term np.sum adds in order, as the per-row sum over axis 1 does
+    grad = np.column_stack([np.sum(e * gx, axis=1), np.sum(e * gy, axis=1)])
+    hxx = np.sum(e * (gx * gx + 2.0 * MB_a), axis=1)
+    hxy = np.sum(e * (gx * gy + MB_b), axis=1)
+    hyy = np.sum(e * (gy * gy + 2.0 * MB_c), axis=1)
+    hess = np.stack([np.column_stack([hxx, hxy]), np.column_stack([hxy, hyy])], axis=1)
+    return grad, hess
+
+
+def _mb_newton(seeds: np.ndarray) -> np.ndarray:
+    """Batched Newton on grad MB = 0 from (x, y) seeds: the rows kept."""
+    return _batched_newton(seeds, _mb_newton_system, tol=1e-13, radius=10.0, n_space=2)
+
+
 def mb_surface_critical_points() -> CriticalPointReport:
-    """Newton on grad MB = 0 from a grid over [-1.5, 1] x [-0.5, 2], lifted to the surface."""
-    found: list[np.ndarray] = []
-    for x in np.linspace(-1.5, 1.0, 32):
-        for y in np.linspace(-0.5, 2.0, 32):
-            p = np.array([x, y])
-            ok = True
-            for _ in range(80):
-                g = mb_gradient(p)
-                if np.linalg.norm(g) < 1e-13:
-                    break
-                try:
-                    p = p - np.linalg.solve(mb_hessian(p), g)
-                except np.linalg.LinAlgError:
-                    ok = False
-                    break
-                if not np.all(np.isfinite(p)) or np.linalg.norm(p) > 10.0:
-                    ok = False
-                    break
-            if not ok or np.linalg.norm(mb_gradient(p)) > 1e-10:
-                continue
-            if not (-1.6 <= p[0] <= 1.1 and -0.6 <= p[1] <= 2.1):
-                continue
-            if not any(np.linalg.norm(p - q[:2]) < 1e-6 for q in found):
-                found.append(surface_lift(p))
+    """Newton on grad MB = 0 from a grid over [-1.5, 1] x [-0.5, 2], lifted to the surface.
+
+    The 32 x 32 seeds run as one batch; every seed is judged as a lone Newton
+    loop would judge it, and roots are deduplicated at 1e-6 in grid order.
+    """
+    xs, ys = np.meshgrid(np.linspace(-1.5, 1.0, 32), np.linspace(-0.5, 2.0, 32), indexing="ij")
+    p = _mb_newton(np.column_stack([xs.ravel(), ys.ravel()]))
+    grad, _ = _mb_newton_system(p)
+    inside = ((_row_norms(grad) <= 1e-10)
+              & (-1.6 <= p[:, 0]) & (p[:, 0] <= 1.1) & (-0.6 <= p[:, 1]) & (p[:, 1] <= 2.1))
+    found = [surface_lift(q) for q in _first_found(p[inside])]
     if not found:
         raise RuntimeError("Newton found no Mueller-Brown critical points")
     points = np.array(sorted(found, key=lambda p: (round(p[0], 9), round(p[1], 9))))

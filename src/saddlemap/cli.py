@@ -116,16 +116,25 @@ def load_run_config(path: str | Path) -> RunConfig:
     )
 
 
+#: problem name -> (problem definition, critical-point oracle, search start from its report)
+PROBLEMS = {
+    "sphere": (
+        benchmarks.sphere_problem,
+        benchmarks.sphere_critical_points,
+        benchmarks.sphere_search_start,
+    ),
+    "mb_surface": (
+        benchmarks.surface_problem,
+        benchmarks.mb_surface_critical_points,
+        benchmarks.mb_start_point,
+    ),
+}
+
+
 def _problem_bundle(name: str):
-    if name == "sphere":
-        problem = benchmarks.sphere_problem()
-        report = benchmarks.sphere_critical_points()
-        start = benchmarks.sphere_search_start(report)
-    else:
-        problem = benchmarks.surface_problem()
-        report = benchmarks.mb_surface_critical_points()
-        start = benchmarks.mb_start_point(report)
-    return problem, report, start
+    make_problem, oracle, search_start = PROBLEMS[name]
+    report = oracle()
+    return make_problem(), report, search_start(report)
 
 
 def write_outputs(config: RunConfig, problem, report, trajectory) -> None:
@@ -287,14 +296,12 @@ def validate_geometry_command(n_points: int, seed: int, output: str | None) -> i
 
 
 def oracle_command(problem: str, output: str | None) -> int:
+    if problem not in PROBLEMS:
+        print(f"unknown problem {problem!r}", file=sys.stderr)
+        return 1
+    _, oracle, _ = PROBLEMS[problem]
     try:
-        if problem == "sphere":
-            report = benchmarks.sphere_critical_points()
-        elif problem == "mb_surface":
-            report = benchmarks.mb_surface_critical_points()
-        else:
-            print(f"unknown problem {problem!r}", file=sys.stderr)
-            return 1
+        report = oracle()
     except Exception as exc:
         print(f"oracle failed: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -185,30 +186,32 @@ class TestBenchmarkInputsPinned:
 
     SPHERE_START = ("0x1.73d9399f2fb32p-1", "0x1.f1bd7f7fcd6b1p-2", "-0x1.f1bd7f7fcd6b1p-2")
     MB_START = ("0x1.3f3b506281d4cp-1", "0x1.cb5ee1fbc432cp-6", "0x1.b7de54d29bce4p-1")
-    SPHERE_POINTS = np.array([
-        [-1.0, 0.0, 0.0],
-        [-0.5773502691896257, -0.5773502691896257, -0.5773502691896257],
-        [-0.5773502691896283, -0.5773502691896282, 0.577350269189624],
-        [-0.5773502691896257, 0.5773502691896257, -0.5773502691896257],
-        [-0.5773502691896257, 0.5773502691896257, 0.5773502691896258],
-        [0.0, -1.0, 0.0],
-        [0.0, 0.0, -1.0000000000000004],
-        [0.0, 0.0, 1.0],
-        [0.0, 1.0, 0.0],
-        [0.5773502691896257, -0.5773502691896258, -0.5773502691896257],
-        [0.5773502691896257, -0.5773502691896257, 0.5773502691896258],
-        [0.5773502691896257, 0.5773502691896258, -0.5773502691896258],
-        [0.5773502691896257, 0.5773502691896257, 0.5773502691896257],
-        [1.0, 0.0, 0.0],
-    ])
+    # float.hex of every coordinate, frozen from the per-seed Newton loops the
+    # batched oracles replaced
+    SPHERE_POINTS = (
+        ("-0x1.0000000000000p+0", "0x1.23d8500000000p-63", "-0x1.23f5d80000000p-63"),
+        ("-0x1.279a74590331cp-1", "-0x1.279a74590331cp-1", "-0x1.279a74590331cp-1"),
+        ("-0x1.279a745903333p-1", "-0x1.279a745903332p-1", "0x1.279a74590330cp-1"),
+        ("-0x1.279a74590331cp-1", "0x1.279a74590331cp-1", "-0x1.279a74590331cp-1"),
+        ("-0x1.279a74590331cp-1", "0x1.279a74590331cp-1", "0x1.279a74590331dp-1"),
+        ("-0x1.45d8000000000p-79", "-0x1.0000000000000p+0", "-0x1.44f8000000000p-79"),
+        ("-0x1.82f014a000000p-51", "0x1.82e8782000000p-51", "-0x1.0000000000002p+0"),
+        ("-0x1.3a4fd8c000000p-57", "0x1.3b81380000000p-57", "0x1.0000000000000p+0"),
+        ("0x1.8c00000000000p-94", "0x1.0000000000000p+0", "-0x1.8c00000000000p-94"),
+        ("0x1.279a74590331cp-1", "-0x1.279a74590331dp-1", "-0x1.279a74590331cp-1"),
+        ("0x1.279a74590331cp-1", "-0x1.279a74590331cp-1", "0x1.279a74590331dp-1"),
+        ("0x1.279a74590331cp-1", "0x1.279a74590331dp-1", "-0x1.279a74590331dp-1"),
+        ("0x1.279a74590331cp-1", "0x1.279a74590331cp-1", "0x1.279a74590331cp-1"),
+        ("0x1.0000000000000p+0", "0x1.2b00000000000p-90", "-0x1.3200000000000p-90"),
+    )
     SPHERE_INDICES = [1, 0, 2, 2, 0, 1, 1, 1, 1, 2, 0, 0, 2, 1]
-    MB_POINTS = np.array([
-        [-0.8220015587327322, 0.6243128028148713, 0.9235025692618469],
-        [-0.5582236346330242, 1.4417258418046688, -0.6092567899133046],
-        [-0.050010822998206056, 0.4666941048719721, 1.0697628986772794],
-        [0.212486582000662, 0.2929883251073678, 1.0643742182746352],
-        [0.6234994049308766, 0.02803775852868566, 0.8591181284990879],
-    ])
+    MB_POINTS = (
+        ("-0x1.a4dd636809457p-1", "0x1.3fa5ed7d20c09p-1", "0x1.d8d5542980d2bp-1"),
+        ("-0x1.1dcf7cfd34c87p-1", "0x1.7114f1dc59601p+0", "-0x1.37f081871650ep-1"),
+        ("-0x1.99b04c2725994p-5", "0x1.dde50f36a4fb3p-2", "0x1.11dbfb384b071p+0"),
+        ("0x1.b32c2a4440d9ep-3", "0x1.2c0521a9c8a9dp-2", "0x1.107ad42a31f3ap+0"),
+        ("0x1.3f3b506281d4cp-1", "0x1.cb5ee1fbc432cp-6", "0x1.b7de54d29bce4p-1"),
+    )
     MB_INDICES = [1, 0, 0, 1, 0]
 
     def test_start_points_bitwise(self, sphere_report, mb_report):
@@ -219,9 +222,65 @@ class TestBenchmarkInputsPinned:
     def test_oracle_reports(self, sphere_report, mb_report):
         for report, points, indices in ((sphere_report, self.SPHERE_POINTS, self.SPHERE_INDICES),
                                         (mb_report, self.MB_POINTS, self.MB_INDICES)):
-            assert report.points.shape == points.shape
-            assert np.max(np.abs(report.points - points)) <= 1e-12
+            assert tuple(tuple(float(v).hex() for v in p) for p in report.points) == points
             assert report.indices.tolist() == indices
+            # the bound perfbench's check_oracle holds the reports to
+            assert np.max(report.residuals) <= 1e-8
+
+
+def _one_seed_newton(z, system, tol, radius, n_space):
+    """The per-seed Newton loop the batched oracles replaced; None for a dropped seed."""
+    for _ in range(80):
+        f, jac = system(z)
+        if np.linalg.norm(f) < tol:
+            break
+        try:
+            z = z - np.linalg.solve(jac, f)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(z)) or np.linalg.norm(z[:n_space]) > radius:
+            return None
+    return z
+
+
+def _sphere_lagrange(z):
+    x, lam = z[:3], z[3]
+    f = np.append(benchmarks.sphere_energy_gradient(x) - lam * x, 0.5 * (x @ x - 1.0))
+    jac = np.zeros((4, 4))
+    jac[:3, :3] = benchmarks.sphere_energy_hessian(x) - lam * np.eye(3)
+    jac[:3, 3] = -x
+    jac[3, :3] = x
+    return f, jac
+
+
+class TestBatchedNewton:
+    def test_rows_match_the_one_seed_loop(self):
+        seeds = benchmarks._fibonacci_sphere(500)
+        runs = [_one_seed_newton(np.append(s, s @ benchmarks.sphere_energy_gradient(s)),
+                                 _sphere_lagrange, 1e-14, 5.0, 3) for s in seeds]
+        assert np.array_equal(benchmarks._sphere_newton(seeds),
+                              np.array([z for z in runs if z is not None]))
+
+        # every 5th grid seed: converged, diverged and 80-iteration rows alike
+        xs, ys = np.meshgrid(np.linspace(-1.5, 1.0, 32), np.linspace(-0.5, 2.0, 32), indexing="ij")
+        seeds = np.column_stack([xs.ravel(), ys.ravel()])[::5]
+        runs = [_one_seed_newton(p, lambda p: (benchmarks.mb_gradient(p), benchmarks.mb_hessian(p)),
+                                 1e-13, 10.0, 2) for p in seeds]
+        assert np.array_equal(benchmarks._mb_newton(seeds),
+                              np.array([p for p in runs if p is not None]))
+
+    def test_singular_row_is_dropped_alone(self):
+        seeds = benchmarks._fibonacci_sphere(200)
+        # at the origin lambda starts at 0 and the 4x4 Newton matrix is all zeros
+        with_origin = np.insert(seeds, 57, 0.0, axis=0)
+        assert np.array_equal(benchmarks._sphere_newton(with_origin),
+                              benchmarks._sphere_newton(seeds))
+
+    def test_oracles_emit_no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            benchmarks.sphere_critical_points()
+            benchmarks.mb_surface_critical_points()
 
 
 class TestSurfaceEval:
