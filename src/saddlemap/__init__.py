@@ -41,7 +41,6 @@ from .geometry import (
     smallest_eigpair,
 )
 from .regression import (
-    ChartPair,
     RegressorModel,
     fit,
     fit_with_nugget_selection,

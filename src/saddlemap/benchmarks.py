@@ -57,13 +57,22 @@ class StereographicSphereChart:
 
     Chart map phi(x) = (x1, x2) / (1 - x3); everything downstream of the
     parameterization (metric, connection, gradient, Hessian) in the exact
-    algebraic form. Implements the same ``evaluate`` as the learned
-    GeometryField so the driver can run in oracle mode.
+    algebraic form. Has the four chart methods the driver calls (``to_chart``,
+    ``evaluate``, ``outside``, ``to_ambient``), so it can run in oracle mode;
+    the chart covers all of the sphere but the North pole, so nothing is outside.
     """
 
     def phi(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.array([x[0], x[1]]) / (1.0 - x[2])
+
+    to_chart = phi
+
+    def outside(self, x: np.ndarray) -> bool:
+        return False
+
+    def to_ambient(self, problem: ProblemDefinition, u: np.ndarray) -> np.ndarray:
+        return problem.project(self.psi(u))
 
     def psi(self, u: np.ndarray) -> np.ndarray:
         u1, u2 = u

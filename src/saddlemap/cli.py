@@ -77,8 +77,8 @@ class RunConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.mode not in ("learned_chart", "exact_chart"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "exact_chart" and self.problem != "sphere":
-            raise ValueError("exact_chart mode is only available for the sphere problem")
+        if self.mode == "exact_chart" and PROBLEMS[self.problem][0]().exact_chart is None:
+            raise ValueError(f"the {self.problem} problem has no exact chart")
 
 
 def _json_object(value, name: str) -> dict:
@@ -287,6 +287,9 @@ def validate_geometry(n_points: int, seed: int, christoffel_fn=None) -> dict:
 
 
 def validate_geometry_command(n_points: int, seed: int, output: str | None) -> int:
+    if n_points < 0:
+        print(f"--n must be at least 0, got {n_points}", file=sys.stderr)
+        return 1
     result = validate_geometry(n_points, seed)
     text = json.dumps(result, indent=2, sort_keys=True)
     if output:

@@ -171,11 +171,8 @@ def diffusion_maps(
     )
 
 
-def select_chart_components(
-    dmap: DiffusionMapResult,
-    phi_jacobians: list[np.ndarray],
-) -> tuple[int, list[int]]:
-    """Chart dimension and a component subset that realizes it.
+def select_chart_components(phi_jacobians: list[np.ndarray]) -> list[int]:
+    """A component subset that realizes the estimated chart dimension.
 
     The dimension estimate is the rounded average, over evaluation points, of
     the numerical rank of the full coordinate-map Jacobian. Components are
@@ -206,7 +203,7 @@ def select_chart_components(
         if hits >= 0.9:
             selected = trial
         if len(selected) == d:
-            return d, selected
+            return selected
     raise DegenerateChartError(
         f"no component subset achieves rank {d} (have {m} components)"
     )

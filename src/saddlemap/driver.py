@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .geometry import GeometryField, isd_field, smallest_eigpair
 from .kernels import squared_distances
-from .regression import MAX_TRIAL_POINTS, ChartPair, RegressorModel, fit_with_nugget_selection
+from .regression import MAX_TRIAL_POINTS, RegressorModel, fit_with_nugget_selection
 from .sampling import (
     SamplerConfig,
     TetherConfig,
@@ -67,8 +67,9 @@ class ProblemDefinition:
 
     ``force`` is the manifold-tangent negative gradient; ``project`` the
     closest-point projection used to keep samples on the manifold.
-    ``exact_chart`` optionally provides closed-form chart machinery for
-    oracle mode: ``phi``, ``psi`` and the ``evaluate`` of GeometryField.
+    ``exact_chart`` optionally provides a closed-form chart for oracle mode,
+    with the four methods the search loop calls on a :class:`LocalChart`:
+    ``to_chart``, ``evaluate``, ``outside`` and ``to_ambient``.
     """
 
     ambient_dim: int
@@ -98,8 +99,6 @@ class DriverConfig:
 @dataclass
 class IterationRecord:
     iteration: int
-    cloud_size: int
-    chart_dim: int
     chart_trajectory: list
     ambient_trajectory: list
     lambda_min: float
@@ -118,24 +117,52 @@ class SearchTrajectory:
     saddle_residual: float
 
 
-@dataclass
-class LocalChart:
-    """Everything one iteration integrates on: maps, geometry, cloud.
+class LocalChart(GeometryField):
+    """A learned chart: the maps, the geometry over them, and the cloud.
 
-    The learned chart carries its ChartPair and cloud; the exact chart of
-    oracle mode carries neither and has an infinite trust radius.
+    The search loop calls four methods on a chart, and a problem's closed-form
+    ``exact_chart`` has the same four: ``to_chart`` (phi), ``evaluate`` (from
+    GeometryField), ``outside`` and ``to_ambient``. The trust radius is
+    ``TRUST_FACTOR`` median nearest-neighbour spacings of the cloud.
     """
 
-    chart: Optional[ChartPair]
-    geometry: object  # anything with GeometryField.evaluate
-    cloud: Optional[PointCloud]
-    trust_radius: float = np.inf
-    _tree: Optional[cKDTree] = None
+    def __init__(self, phi, psi, chart_force, chart_samples: np.ndarray, cloud: PointCloud):
+        super().__init__(psi, chart_force)
+        self.phi = phi
+        self.chart_samples = chart_samples  # (N, d) diffusion coordinates of the cloud
+        self.cloud = cloud
+        self.tree = cKDTree(cloud.points)
+        nn = self.tree.query(cloud.points, k=2)[0][:, 1]
+        self.trust_radius = TRUST_FACTOR * float(np.median(nn))
 
-    def distance_to_cloud(self, x: np.ndarray) -> float:
-        if self._tree is None:
-            return 0.0
-        return float(self._tree.query(x)[0])
+    def to_chart(self, x: np.ndarray) -> np.ndarray:
+        return self.phi.predict(x)
+
+    def outside(self, x: np.ndarray) -> bool:
+        """Whether ambient ``x`` lies beyond the trust radius of every cloud point."""
+        return float(self.tree.query(x)[0]) > self.trust_radius
+
+    def to_ambient(self, problem, u: np.ndarray) -> np.ndarray:
+        """Map a chart endpoint back to the manifold, preferring psi.
+
+        Falls back to the chart-inversion tether when the phi(psi(u)) round
+        trip misses by more than a tenth of the chart diameter.
+        """
+        tol = 0.1 * float(np.linalg.norm(np.ptp(self.chart_samples, axis=0)))
+        x_direct = problem.project(self.psi.predict(u))
+        roundtrip = float(np.linalg.norm(self.phi.predict(x_direct) - u))
+        if roundtrip > tol:
+            _, jac, _ = self.phi.predict_with_derivatives(x_direct, order=1)
+            scale = max(float(np.linalg.norm(jac, 2)) ** 2, 1e-12)
+            tether = TetherConfig(
+                kappa=1.0, target_phi=u, dt=min(0.5 / scale, 1e3), burn_in=150, n_average=50
+            )
+            try:
+                x_tether = invert_chart_via_tether(problem, self.phi, tether, start=x_direct, tol=tol)
+            except (TetherResidualError, NonFiniteEvaluationError):
+                return x_direct  # keep the direct inverse-map estimate
+            return problem.project(x_tether)
+        return x_direct
 
 
 def _derive_seed(*entropy) -> int:
@@ -168,10 +195,16 @@ def _pushforward_at_samples(phi: RegressorModel, cloud: PointCloud, kernel: np.n
     return out
 
 
-def _rank_chart_components(
-    points: np.ndarray, dmap: DiffusionMapResult, eps: float
-) -> tuple[int, list[int]]:
-    """Chart dimension and components, ranked from a provisional fit.
+def _median_bandwidth(sq: np.ndarray) -> float:
+    """:func:`median_bandwidth`; a collapsed point set has none to give."""
+    eps = median_bandwidth(sq)
+    if not eps > 0.0:
+        raise DegenerateChartError(f"median bandwidth {eps} of a collapsed point set")
+    return eps
+
+
+def _rank_chart_components(points: np.ndarray, dmap: DiffusionMapResult, eps: float) -> list[int]:
+    """Chart components, ranked from a provisional fit.
 
     The provisional fit of all embedding components runs on an evenly
     strided subset of at most ``MAX_TRIAL_POINTS`` cloud rows (every row
@@ -187,7 +220,7 @@ def _rank_chart_components(
     )
     eval_idx = np.unique(np.linspace(0, n - 1, min(n, 50)).astype(int))
     jacobians = [ranking.predict_with_derivatives(points[i], order=1)[1] for i in eval_idx]
-    return select_chart_components(dmap, jacobians)
+    return select_chart_components(jacobians)
 
 
 def _fit_chart_map_and_force(
@@ -206,10 +239,10 @@ def _fit_chart_map_and_force(
     points = cloud.points
     n = cloud.size
     sq = squared_distances(points, points)
-    eps = median_bandwidth(sq)
+    eps = _median_bandwidth(sq)
     n_components = min(N_DMAP_COMPONENTS, n - 1)
     dmap = diffusion_maps(points, eps, n_components, sq=sq)
-    chart_dim, components = _rank_chart_components(points, dmap, eps)
+    components = _rank_chart_components(points, dmap, eps)
 
     chart_samples = dmap.coordinates[:, components]
     factors: dict = {}
@@ -247,22 +280,11 @@ def build_local_chart(
     # samples, like the cloud's; its trial and held-out blocks are
     # submatrices of it
     sq_chart = squared_distances(chart_samples, chart_samples)
-    eps_chart = median_bandwidth(sq_chart)
+    eps_chart = _median_bandwidth(sq_chart)
     psi_kernel = regression.gaussian_kernel(chart_samples, chart_samples, eps_chart, sq=sq_chart)
     rng_psi = np.random.default_rng([cfg.seed, iteration, attempt, 3])
     psi, _ = fit_with_nugget_selection(chart_samples, points, eps_chart, rng_psi, psi_kernel, {})
-
-    tree = cKDTree(points)
-    nn = tree.query(points, k=2)[0][:, 1]
-    trust_radius = TRUST_FACTOR * float(np.median(nn))
-
-    return LocalChart(
-        chart=ChartPair(phi=phi, psi=psi, chart_samples=chart_samples),
-        geometry=GeometryField(psi, chart_force),
-        cloud=cloud,
-        trust_radius=trust_radius,
-        _tree=tree,
-    )
+    return LocalChart(phi, psi, chart_force, chart_samples, cloud)
 
 
 def check_convergence(force_norm: float, spectrum: np.ndarray, cfg: DriverConfig) -> bool:
@@ -276,27 +298,19 @@ def check_convergence(force_norm: float, spectrum: np.ndarray, cfg: DriverConfig
 
 
 def integrate_isd_on_chart(
-    geometry,
-    u0: np.ndarray,
-    cloud,
-    cfg: DriverConfig,
-    iteration: int = 1,
-    trust_radius: float = np.inf,
-    distance_to_cloud=None,
+    chart, u0: np.ndarray, cfg: DriverConfig, iteration: int = 1
 ) -> IterationRecord:
     """Explicit-Euler integration of the reflected force field on one chart.
 
-    ``geometry`` is anything with GeometryField's ``evaluate``, called once
-    per step. Stops on the index-1 convergence certificate, on leaving the
-    sampled region (distance from psi(u) to the nearest cloud point
-    exceeding the trust radius), or on the step budget. Geometry failures
-    mid-trajectory close the record with exit reason 'degenerate'.
+    ``chart`` is a :class:`LocalChart` or a problem's exact chart; its
+    ``evaluate`` is called once per step. Stops on the index-1 convergence
+    certificate, when ``chart.outside`` reports that psi(u) has left the
+    trusted region, or on the step budget. Geometry failures mid-trajectory
+    close the record with exit reason 'degenerate'.
     """
     u = np.asarray(u0, dtype=float)
     record = IterationRecord(
         iteration=iteration,
-        cloud_size=0 if cloud is None else cloud.size,
-        chart_dim=u.shape[0],
         chart_trajectory=[],
         ambient_trajectory=[],
         lambda_min=np.nan,
@@ -309,7 +323,7 @@ def integrate_isd_on_chart(
         try:
             if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e8:
                 raise DegenerateChartError(f"chart coordinates diverged at step {step}")
-            geo = geometry.evaluate(u)
+            geo = chart.evaluate(u)
             lam, v, spectrum = smallest_eigpair(geo.hessian, geo.metric, prev_v=prev_v)
         except (DegenerateChartError, NonFiniteEvaluationError):
             record.exit_reason = EXIT_DEGENERATE
@@ -328,7 +342,7 @@ def integrate_isd_on_chart(
         if check_convergence(force_norm, spectrum, cfg):
             record.exit_reason = EXIT_CONVERGED
             break
-        if distance_to_cloud is not None and distance_to_cloud(x_amb) > trust_radius:
+        if chart.outside(x_amb):
             if step == 0:
                 record.exit_reason = EXIT_DEGENERATE
             else:
@@ -345,28 +359,14 @@ def integrate_isd_on_chart(
     return record
 
 
-def _handoff_to_ambient(problem, local: LocalChart, u_end: np.ndarray) -> np.ndarray:
-    """Map a chart endpoint back to the manifold, preferring the inverse map.
-
-    Falls back to the chart-inversion tether when the phi(psi(u)) round trip
-    misses by more than a tenth of the chart diameter.
-    """
-    psi, phi = local.chart.psi, local.chart.phi
-    tol = 0.1 * local.chart.chart_diameter()
-    x_direct = problem.project(psi.predict(u_end))
-    roundtrip = float(np.linalg.norm(phi.predict(x_direct) - u_end))
-    if roundtrip > tol:
-        _, jac, _ = phi.predict_with_derivatives(x_direct, order=1)
-        scale = max(float(np.linalg.norm(jac, 2)) ** 2, 1e-12)
-        tether = TetherConfig(
-            kappa=1.0, target_phi=u_end, dt=min(0.5 / scale, 1e3), burn_in=150, n_average=50
-        )
+def _learn_chart(problem, x: np.ndarray, cfg: DriverConfig, iteration: int):
+    """A chart built around ``x``, resampled at most three times; None if none holds."""
+    for attempt in range(3):
         try:
-            x_tether = invert_chart_via_tether(problem, phi, tether, start=x_direct, tol=tol)
-        except (TetherResidualError, NonFiniteEvaluationError):
-            return x_direct  # keep the direct inverse-map estimate
-        return problem.project(x_tether)
-    return x_direct
+            return build_local_chart(problem, x, cfg, iteration, attempt)
+        except (DegenerateChartError, ChartFitError):
+            continue
+    return None
 
 
 def run_search(
@@ -377,6 +377,7 @@ def run_search(
 ) -> SearchTrajectory:
     """Full saddle search: chart learning and integration until convergence.
 
+    The mode only picks where each iteration's chart comes from:
     ``mode='exact_chart'`` bypasses sampling and regression and runs the same
     loop on the problem's closed-form chart (oracle mode).
     """
@@ -394,40 +395,22 @@ def run_search(
     chart_tol = cfg.tol_force
 
     for iteration in range(1, cfg.n_iterations_max + 1):
+        chart = None  # free the last chart first: kept through the next build, it raises peak RSS
         if mode == "exact_chart":
-            local = LocalChart(chart=None, geometry=problem.exact_chart, cloud=None)
-            u0 = problem.exact_chart.phi(x)
-        else:
-            local = None
-            for attempt in range(3):
-                try:
-                    local = build_local_chart(problem, x, cfg, iteration, attempt)
-                    break
-                except (DegenerateChartError, ChartFitError):
-                    continue
-            if local is None:
-                verdict = VERDICT_FAILED
-                break
-            u0 = local.chart.phi.predict(x)
+            chart = problem.exact_chart
+        elif (chart := _learn_chart(problem, x, cfg, iteration)) is None:
+            verdict = VERDICT_FAILED
+            break
 
         record = integrate_isd_on_chart(
-            local.geometry,
-            u0,
-            local.cloud,
-            dataclasses.replace(cfg, tol_force=chart_tol),
-            iteration=iteration,
-            trust_radius=local.trust_radius,
-            distance_to_cloud=local.distance_to_cloud,
+            chart, chart.to_chart(x), dataclasses.replace(cfg, tol_force=chart_tol), iteration
         )
         records.append(record)
 
         u_end = record.chart_trajectory[-1]
         if record.exit_reason == EXIT_DEGENERATE and not np.all(np.isfinite(u_end)):
             continue  # resample around the previous base point
-        if mode == "exact_chart":
-            x = problem.project(problem.exact_chart.psi(u_end))
-        else:
-            x = _handoff_to_ambient(problem, local, u_end)
+        x = chart.to_ambient(problem, u_end)
 
         if record.exit_reason == EXIT_CONVERGED:
             # accept only when the ambient force confirms the chart-level

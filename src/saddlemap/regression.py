@@ -162,23 +162,6 @@ def r_squared(pred: np.ndarray, test_targets: np.ndarray) -> float:
     return float(np.mean(r2))
 
 
-@dataclass(frozen=True)
-class ChartPair:
-    """Forward map phi (ambient -> chart) and inverse psi (chart -> ambient)."""
-
-    phi: RegressorModel
-    psi: RegressorModel
-    chart_samples: np.ndarray  # (N, d) diffusion coordinates of the cloud
-
-    @property
-    def chart_dim(self) -> int:
-        return self.chart_samples.shape[1]
-
-    def chart_diameter(self) -> float:
-        span = self.chart_samples.max(axis=0) - self.chart_samples.min(axis=0)
-        return float(np.linalg.norm(span))
-
-
 def holdout_split(n: int, rng: np.random.Generator):
     """Deterministic train/test index split, ``HOLDOUT_FRACTION`` held out."""
     perm = rng.permutation(n)

@@ -7,13 +7,36 @@ from saddlemap.driver import ProblemDefinition
 from saddlemap.geometry import GeometryField
 
 
-def quadratic_saddle_field() -> GeometryField:
-    """Exact identity chart of U = u1^2 - u2^2 on the flat plane."""
-    return GeometryField(LinearChartStub(np.eye(2)), LinearChartStub(np.diag([-2.0, 2.0])))
+class QuadraticSaddleChart:
+    """Exact identity chart of U = u1^2 - u2^2 on the flat plane.
+
+    It has only the four methods the search loop may call on a chart.
+    """
+
+    def __init__(self):
+        self._field = GeometryField(LinearChartStub(np.eye(2)), LinearChartStub(np.diag([-2.0, 2.0])))
+
+    def to_chart(self, x):
+        return np.array(x, dtype=float)
+
+    def evaluate(self, u):
+        return self._field.evaluate(u)
+
+    def outside(self, x):
+        return False
+
+    def to_ambient(self, problem, u):
+        return problem.project(u)
+
+
+def quadratic_saddle_force(x):
+    """Force -grad U of U = x1^2 - x2^2."""
+    return np.array([-2.0 * x[0], 2.0 * x[1]])
 
 
 def flat_problem(dim: int = 2, force=None) -> ProblemDefinition:
-    """Unconstrained plane: identity projection, optional force field."""
+    """Unconstrained plane: identity projection, optional force field; the
+    plane (dim 2) carries the quadratic saddle's chart as its exact chart."""
     if force is None:
         force = lambda x: np.zeros(dim)
     return ProblemDefinition(
@@ -21,7 +44,7 @@ def flat_problem(dim: int = 2, force=None) -> ProblemDefinition:
         energy=lambda x: 0.0,
         force=force,
         project=lambda x: np.asarray(x, dtype=float),
-        exact_chart=None,
+        exact_chart=QuadraticSaddleChart() if dim == 2 else None,
     )
 
 

@@ -340,10 +340,10 @@ class TestChartInvariantScalars:
         local = build_local_chart(problem, base, cfg)
         for i in range(0, 600, 60):
             q = local.cloud.points[i]
-            u_l = local.chart.phi.predict(q)
-            g_l = local.geometry.metric(u_l)
-            y_l = local.geometry.force(u_l)
-            lam_l, _, _ = smallest_eigpair(local.geometry.covariant_hessian(u_l), g_l)
+            u_l = local.to_chart(q)
+            g_l = local.metric(u_l)
+            y_l = local.force(u_l)
+            lam_l, _, _ = smallest_eigpair(local.covariant_hessian(u_l), g_l)
             u_e = CHART.phi(q)
             g_e = CHART.metric(u_e)
             y_e = CHART.force(u_e)

@@ -77,6 +77,18 @@ class TestRunCommand:
         code = cli.main(["run", str(write_config(tmp_path, problem="mb_surface", mode="exact_chart"))])
         assert code == 1
 
+    def test_collapsed_cloud_fails_with_outputs(self, tmp_path):
+        # a zero perturbation scale samples every point at the base point:
+        # no chart can be built, and the search ends failed, not in a traceback
+        raw = {"problem": "sphere", "output_dir": str(tmp_path / "out"),
+               "driver": {"n_iterations_max": 1, "sampler": {"n_samples": 50, "perturbation_scale": 0}}}
+        assert self.run_raw(tmp_path, raw) == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["verdict"] == "failed"
+        assert summary["iterations"] == 0
+        assert (tmp_path / "out" / "trajectory.csv").exists()
+        assert (tmp_path / "out" / "error.csv").exists()
+
     def test_exact_chart_run(self, tmp_path):
         cfg = write_config(tmp_path, mode="exact_chart")
         assert cli.main(["run", str(cfg)]) == 2
@@ -175,6 +187,12 @@ class TestValidateGeometry:
 
     def test_zero_points_vacuous_pass(self):
         assert cli.main(["validate-geometry", "--n", "0", "--seed", "0"]) == 0
+
+    def test_negative_points_rejected(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        assert cli.main(["validate-geometry", "--n", "-3", "--output", str(report_path)]) == 1
+        assert "--n" in capsys.readouterr().err
+        assert not report_path.exists()
 
 
 class TestOracleCommand:

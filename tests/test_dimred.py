@@ -197,8 +197,7 @@ class TestSelectChartComponents:
         pts = raw / np.linalg.norm(raw, axis=1)[:, None]
         eps = bandwidth_median_rule(pts)
         dmap = diffusion_maps(pts, eps, 6)
-        d, comps = select_chart_components(dmap, fitted_jacobians(pts, dmap))
-        assert d == 2
+        comps = select_chart_components(fitted_jacobians(pts, dmap))
         assert len(comps) == 2
 
     def test_line_dimension_one(self, rng):
@@ -206,8 +205,7 @@ class TestSelectChartComponents:
         pts = np.column_stack([t, 2.0 * t, -t]) + 1e-4 * rng.standard_normal((120, 3))
         eps = bandwidth_median_rule(pts)
         dmap = diffusion_maps(pts, eps, 5)
-        d, comps = select_chart_components(dmap, fitted_jacobians(pts, dmap))
-        assert d == 1
+        comps = select_chart_components(fitted_jacobians(pts, dmap))
         assert len(comps) == 1
 
     def test_harmonic_component_skipped(self, rng):
@@ -219,14 +217,13 @@ class TestSelectChartComponents:
         eps = bandwidth_median_rule(pts)
         dmap = diffusion_maps(pts, eps, 5)
         jacs = fitted_jacobians(pts, dmap)
-        d, comps = select_chart_components(dmap, jacs)
-        assert d == 1
+        comps = select_chart_components(jacs)
         assert comps == [0]
 
     def test_no_subset_raises(self):
         jacs = [np.zeros((3, 2))]
         with pytest.raises(DegenerateChartError):
-            select_chart_components(None, jacs)
+            select_chart_components(jacs)
 
 
 class TestPointCloud:

@@ -15,7 +15,6 @@ from saddlemap.driver import (
     N_DMAP_COMPONENTS,
     VERDICT_SADDLE_FOUND,
     _derive_seed,
-    _handoff_to_ambient,
     _rank_chart_components,
     build_local_chart,
     check_convergence,
@@ -26,7 +25,7 @@ from saddlemap.kernels import squared_distances
 from saddlemap.regression import RegressorModel
 from saddlemap.sampling import SamplerConfig, sample_cloud
 
-from conftest import quadratic_saddle_field
+from conftest import QuadraticSaddleChart, flat_problem, quadratic_saddle_force
 
 SPHERE = benchmarks.sphere_problem()
 CHART = benchmarks.StereographicSphereChart()
@@ -63,27 +62,27 @@ class TestIntegrateOnSyntheticChart:
     def test_quadratic_saddle_contraction(self):
         # oracle: the reflected field is -2u, solution e^{-2t}; at dt = 3.5e-3
         # over 1000 steps the norm contracts below 1e-3 from (0.5, 0.5)
-        field = quadratic_saddle_field()
+        chart = QuadraticSaddleChart()
         cfg = small_cfg(n_ode_steps=1000, ode_dt=3.5e-3, tol_force=1e-12)
-        rec = integrate_isd_on_chart(field, np.array([0.5, 0.5]), None, cfg)
+        rec = integrate_isd_on_chart(chart, np.array([0.5, 0.5]), cfg)
         assert rec.exit_reason == EXIT_STEP_BUDGET
         assert np.linalg.norm(rec.chart_trajectory[-1]) < 1e-3
         expected = np.linalg.norm([0.5, 0.5]) * (1.0 - 2.0 * 3.5e-3) ** 1000
         assert np.linalg.norm(rec.chart_trajectory[-1]) == pytest.approx(expected, rel=1e-6)
 
     def test_starts_converged_at_saddle(self):
-        field = quadratic_saddle_field()
+        chart = QuadraticSaddleChart()
         cfg = small_cfg(tol_force=1e-8)
-        rec = integrate_isd_on_chart(field, np.zeros(2), None, cfg)
+        rec = integrate_isd_on_chart(chart, np.zeros(2), cfg)
         assert rec.exit_reason == EXIT_CONVERGED
         assert len(rec.chart_trajectory) == 1
         assert rec.lambda_min == pytest.approx(-2.0)
         assert rec.spectrum[1] == pytest.approx(2.0)
 
     def test_records_are_consistent(self):
-        field = quadratic_saddle_field()
+        chart = QuadraticSaddleChart()
         cfg = small_cfg(n_ode_steps=50, ode_dt=1e-3, tol_force=1e-12)
-        rec = integrate_isd_on_chart(field, np.array([0.2, 0.1]), None, cfg)
+        rec = integrate_isd_on_chart(chart, np.array([0.2, 0.1]), cfg)
         assert len(rec.chart_trajectory) == 51
         assert len(rec.ambient_trajectory) == 51
         assert len(rec.step_force_norms) == 51
@@ -94,16 +93,16 @@ class TestBuildLocalChart:
     def test_sphere_chart_dimension(self):
         base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
         local = build_local_chart(SPHERE, base, small_cfg())
-        assert local.chart.chart_dim == 2
+        assert local.chart_samples.shape[1] == 2
         assert local.cloud.size == 500
         assert local.trust_radius > 0.0
 
     def test_phi_fits_samples(self):
         base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
         local = build_local_chart(SPHERE, base, small_cfg())
-        pred = local.chart.phi.predict_batch(local.cloud.points)
-        err = np.max(np.abs(pred - local.chart.chart_samples))
-        scale = np.max(np.abs(local.chart.chart_samples))
+        pred = local.phi.predict_batch(local.cloud.points)
+        err = np.max(np.abs(pred - local.chart_samples))
+        scale = np.max(np.abs(local.chart_samples))
         assert err < 1e-3 * scale
 
     def test_pushforward_matches_exact_chart(self):
@@ -113,8 +112,8 @@ class TestBuildLocalChart:
         local = build_local_chart(SPHERE, base, small_cfg())
         norm_l, norm_e = [], []
         for q in local.cloud.points[::10]:
-            u_l = local.chart.phi.predict(q)
-            norm_l.append(local.geometry.metric(u_l).norm(local.geometry.force(u_l)))
+            u_l = local.to_chart(q)
+            norm_l.append(local.metric(u_l).norm(local.force(u_l)))
             u_e = CHART.phi(q)
             norm_e.append(CHART.metric(u_e).norm(CHART.force(u_e)))
         norm_l, norm_e = np.array(norm_l), np.array(norm_e)
@@ -125,7 +124,7 @@ class TestBuildLocalChart:
         base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
         local = build_local_chart(SPHERE, base, small_cfg())
         pts = local.cloud.points
-        back = local.chart.psi.predict_batch(local.chart.phi.predict_batch(pts))
+        back = local.psi.predict_batch(local.phi.predict_batch(pts))
         err = np.linalg.norm(back - pts, axis=1)
         diam = np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1)) * 2.0
         assert np.mean(err < 0.05 * diam) >= 0.95
@@ -207,7 +206,7 @@ class TestRankingParity:
         full = regression.fit(points, dmap.coordinates, eps, 1e-6, reuse_kernel=dmap.kernel)
         eval_idx = np.unique(np.linspace(0, n - 1, 50).astype(int))
         jacobians = [full.predict_with_derivatives(points[i], order=1)[1] for i in eval_idx]
-        reference = select_chart_components(dmap, jacobians)
+        reference = select_chart_components(jacobians)
 
         assert n > MAX_TRIAL_POINTS
         assert _rank_chart_components(points, dmap, eps) == reference
@@ -218,7 +217,7 @@ class TestLearnedStep:
         # one order-2 psi prediction and one order-1 chart-force prediction
         base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
         local = build_local_chart(SPHERE, base, small_cfg())
-        u0 = local.chart.phi.predict(base)
+        u0 = local.to_chart(base)
         calls = []
         predict = RegressorModel.predict_with_derivatives
 
@@ -227,7 +226,7 @@ class TestLearnedStep:
             return predict(self, x, order=order)
 
         monkeypatch.setattr(RegressorModel, "predict_with_derivatives", counting)
-        rec = integrate_isd_on_chart(local.geometry, u0, local.cloud, small_cfg(n_ode_steps=1))
+        rec = integrate_isd_on_chart(local, u0, small_cfg(n_ode_steps=1))
         assert rec.exit_reason == EXIT_STEP_BUDGET
         assert len(rec.chart_trajectory) == 2
         assert sorted(calls) == [1, 1, 2, 2]
@@ -278,8 +277,8 @@ class TestRunSearch:
             return SPHERE.project(x)
 
         problem = dataclasses.replace(SPHERE, project=counting_project)
-        u_end = local.chart.phi.predict(base)
-        x = _handoff_to_ambient(problem, local, u_end)
+        u_end = local.to_chart(base)
+        x = local.to_ambient(problem, u_end)
         assert len(calls) == 1
         assert np.linalg.norm(x - base) < 1e-2
 
@@ -317,6 +316,15 @@ class TestRunSearch:
         e0 = SPHERE.energy(rec.ambient_trajectory[0])
         e1 = SPHERE.energy(rec.ambient_trajectory[-1])
         assert e1 > e0
+
+    def test_exact_chart_needs_only_the_four_methods(self):
+        # the plane's exact chart has only to_chart, evaluate, outside and
+        # to_ambient; the reflected field -2u drives (0.3, 0.2) to the origin
+        problem = flat_problem(force=quadratic_saddle_force)
+        cfg = small_cfg(n_iterations_max=1, n_ode_steps=1000, ode_dt=1e-2, tol_force=1e-3)
+        traj = run_search(problem, np.array([0.3, 0.2]), cfg, mode="exact_chart")
+        assert traj.verdict == VERDICT_SADDLE_FOUND
+        assert np.linalg.norm(traj.final_point) < 1e-3
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -167,9 +167,9 @@ class TestEvaluate:
         base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
         cfg = DriverConfig(sampler=SamplerConfig(n_samples=500, perturbation_scale=0.15), seed=0)
         local = build_local_chart(benchmarks.sphere_problem(), base, cfg)
-        psi, chart_force = local.chart.psi, local.geometry.chart_force
+        psi, chart_force = local.psi, local.chart_force
         for q in local.cloud.points[::50]:
-            u = local.chart.phi.predict(q)
+            u = local.to_chart(q)
             x_amb, jac, second = psi.predict_with_derivatives(u, order=2)
             g = metric_from_jacobian(jac)
             term = np.einsum("cki,cj->ijk", second, jac)
@@ -180,7 +180,7 @@ class TestEvaluate:
             hess = covariant_hessian_from_force(
                 None, gamma, g, u, force_jacobian=jac_amb @ jac_1, force_value=y
             )
-            geo = local.geometry.evaluate(u)
+            geo = local.evaluate(u)
             assert np.array_equal(geo.ambient, x_amb)
             assert np.array_equal(geo.metric.g, g.g)
             assert np.array_equal(geo.metric.g_inv, g.g_inv)

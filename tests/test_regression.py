@@ -7,7 +7,6 @@ from saddlemap.dimred import bandwidth_median_rule, diffusion_maps
 from saddlemap.errors import ChartFitError
 from saddlemap.kernels import gaussian_kernel
 from saddlemap.regression import (
-    ChartPair,
     fit,
     fit_with_nugget_selection,
     kernel_factorization,
@@ -229,7 +228,7 @@ class TestNuggetSelection:
             fit_with_nugget_selection(x, noise, 1e-6, rng, gaussian_kernel(x, x, 1e-6), {})
 
 
-class TestChartPair:
+class TestChartMapFits:
     def test_fit_contract(self, rng):
         base = np.array([0.0, 0.0, -1.0])
         raw = base + 0.2 * rng.standard_normal((300, 3))
@@ -239,9 +238,6 @@ class TestChartPair:
         chart_samples = dmap.coordinates[:, :2]
         phi = fit(pts, chart_samples, eps, 1e-8, reuse_kernel=dmap.kernel)
         psi = fit(chart_samples, pts, bandwidth_median_rule(chart_samples), 1e-8)
-        pair = ChartPair(phi=phi, psi=psi, chart_samples=chart_samples)
-        assert pair.chart_dim == 2
         scale = np.max(np.abs(chart_samples))
         assert np.max(np.abs(phi.predict_batch(pts) - chart_samples)) < 1e-4 * scale
         assert np.max(np.linalg.norm(psi.predict_batch(chart_samples) - pts, axis=1)) < 1e-3
-        assert pair.chart_diameter() > 0.0

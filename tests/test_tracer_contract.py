@@ -8,7 +8,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from saddlemap.driver import DriverConfig
+import numpy as np
+
+from saddlemap import benchmarks
+from saddlemap.driver import DriverConfig, run_search
+from saddlemap.sampling import SamplerConfig
 
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
@@ -34,3 +38,24 @@ def test_traced_names_and_configs_resolve(monkeypatch):
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
     for make_config in (worker._sphere_config, worker._mb_config):
         assert isinstance(make_config(0), DriverConfig)
+
+
+def test_every_guarded_layer_records_calls(monkeypatch):
+    # a layer the program captured at import (a default argument, a closure,
+    # a bound alias) would escape the tracer's wrapper and read as 0 calls.
+    # geometry.eval and dimred.bandwidth are left out: the tracer wraps names
+    # (the single-quantity views, bandwidth_median_rule) the search never calls
+    worker = load_worker(monkeypatch)
+    tracer = worker.Tracer()
+    cfg = DriverConfig(sampler=SamplerConfig(n_samples=300, perturbation_scale=0.15),
+                       n_iterations_max=1, n_ode_steps=20, ode_dt=1e-3, tol_force=1e-3, seed=0)
+    start = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
+    try:
+        worker.install(tracer)
+        run_search(benchmarks.sphere_problem(), start, cfg)
+    finally:
+        tracer.uninstall()
+    spans = tracer.summary(tracer.run_id)
+    for name in ("driver.chart_build", "driver.integrate", "sampling.cloud", "dimred.dmap",
+                 "dimred.select", "regression.select", "regression.factor"):
+        assert spans[name]["calls"] >= 1, name
