@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import ProblemDefinition
-from .geometry import ChartGeometry, ChristoffelSymbols, CovariantHessian, MetricTensor
+from .geometry import ChartGeometry, MetricTensor
 
 # ---------------------------------------------------------------------------
 # sphere with E = x1 x2 x3
@@ -103,7 +103,7 @@ class StereographicSphereChart:
             dg[:, :, k] = dlam[k] * np.eye(2)
         return dg
 
-    def christoffel(self, u: np.ndarray) -> ChristoffelSymbols:
+    def christoffel(self, u: np.ndarray) -> np.ndarray:
         u1, u2 = u
         c = -2.0 / (1.0 + u1 * u1 + u2 * u2)
         g111 = c * u1
@@ -115,7 +115,7 @@ class StereographicSphereChart:
         gamma[1, 0, 0] = -g112
         gamma[1, 0, 1] = gamma[1, 1, 0] = g111
         gamma[1, 1, 1] = g112
-        return ChristoffelSymbols(gamma=gamma)
+        return gamma
 
     def potential(self, u: np.ndarray) -> float:
         u1, u2 = u
@@ -144,13 +144,10 @@ class StereographicSphereChart:
         d = (4.0 * u1 * u2 * (u2 ** 4 - 11.0 * u2 ** 2 - u1 ** 4 - u1 ** 2 + 6.0)) / den
         return np.array([[a, b], [b, d]])
 
-    def covariant_hessian(self, u: np.ndarray, g: MetricTensor | None = None) -> CovariantHessian:
-        if g is None:
-            g = self.metric(u)
-        h_mixed = self.hessian_mixed(u)
-        h_lower = g.g @ h_mixed
-        h_lower = 0.5 * (h_lower + h_lower.T)
-        return CovariantHessian(h_lower=h_lower, h_mixed=g.g_inv @ h_lower)
+    def covariant_hessian(self, u: np.ndarray, g: MetricTensor) -> np.ndarray:
+        """(0,2) covariant Hessian, symmetrized like the learned chart's."""
+        h = g.g @ self.hessian_mixed(u)
+        return 0.5 * (h + h.T)
 
     def evaluate(self, u: np.ndarray) -> ChartGeometry:
         """Every quantity an integration step needs, from the closed forms."""
@@ -159,9 +156,8 @@ class StereographicSphereChart:
         return ChartGeometry(
             ambient=self.psi(u),
             metric=g,
-            christoffel=self.christoffel(u),
             force=self.force(u),
-            hessian=self.covariant_hessian(u, g=g),
+            hessian=self.covariant_hessian(u, g),
         )
 
 

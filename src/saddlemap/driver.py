@@ -101,9 +101,7 @@ class IterationRecord:
     iteration: int
     chart_trajectory: list
     ambient_trajectory: list
-    lambda_min: float
     spectrum: np.ndarray
-    force_norm: float
     exit_reason: str
     step_force_norms: list = field(default_factory=list)
     step_lambda_mins: list = field(default_factory=list)
@@ -313,9 +311,7 @@ def integrate_isd_on_chart(
         iteration=iteration,
         chart_trajectory=[],
         ambient_trajectory=[],
-        lambda_min=np.nan,
         spectrum=np.array([]),
-        force_norm=np.nan,
         exit_reason=EXIT_STEP_BUDGET,
     )
     prev_v = None
@@ -335,9 +331,7 @@ def integrate_isd_on_chart(
         record.ambient_trajectory.append(np.asarray(x_amb, dtype=float))
         record.step_force_norms.append(force_norm)
         record.step_lambda_mins.append(lam)
-        record.lambda_min = lam
         record.spectrum = spectrum
-        record.force_norm = force_norm
 
         if check_convergence(force_norm, spectrum, cfg):
             record.exit_reason = EXIT_CONVERGED
@@ -353,8 +347,11 @@ def integrate_isd_on_chart(
             break
         u = u + cfg.ode_dt * isd_field(y, v, g)
     if not record.chart_trajectory:
+        # a placeholder row, so every record has one entry per row in all four lists
         record.chart_trajectory.append(u.copy())
         record.ambient_trajectory.append(np.full(u.shape[0], np.nan))
+        record.step_force_norms.append(np.nan)
+        record.step_lambda_mins.append(np.nan)
         record.exit_reason = EXIT_DEGENERATE
     return record
 

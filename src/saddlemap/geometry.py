@@ -2,17 +2,17 @@
 
 Everything here operates on plain coordinate arrays: a chart point is a
 length-d vector, a tangent vector is its component array in the coordinate
-basis. The value types bundle derived tensors together with the consistency
-checks their downstream consumers rely on (symmetry, positive definiteness,
-index conventions).
+basis, and each kernel takes and returns tensors as arrays. Only the metric
+keeps a small type, :class:`MetricTensor`, that holds g with its inverse.
 
 Index conventions
 -----------------
 * ``MetricTensor.g[i, j]`` is g_ij, ``g_inv[i, j]`` is g^ij.
-* ``ChristoffelSymbols.gamma[l, j, k]`` is Gamma^l_jk, symmetric in (j, k).
-* ``CovariantHessian.h_mixed[i, j]`` is the (1,1) Hessian acting on tangent
-  vectors, ``h_lower`` the (0,2) form; ``h_lower = g @ h_mixed`` after
-  symmetrization.
+* A metric derivative ``dg[i, j, k]`` is d g_ij / d u^k; the derivative axis
+  is last, as :func:`central_difference` returns it.
+* ``christoffel(g_inv, dg)[l, j, k]`` is Gamma^l_jk, symmetric in (j, k).
+* ``covariant_hessian`` and ``ChartGeometry.hessian`` are the symmetric (0,2)
+  form h_ij; the (1,1) form acting on tangent vectors is ``g_inv @ h``.
 """
 from __future__ import annotations
 
@@ -44,25 +44,6 @@ class MetricTensor:
 
     def norm(self, a: Vector) -> float:
         return float(np.sqrt(max(self.inner(a, a), 0.0)))
-
-
-@dataclass(frozen=True)
-class ChristoffelSymbols:
-    """Levi-Civita connection coefficients Gamma^l_jk at a chart point."""
-
-    gamma: np.ndarray  # shape (d, d, d), indexed [l, j, k]
-
-    @property
-    def dim(self) -> int:
-        return self.gamma.shape[0]
-
-
-@dataclass(frozen=True)
-class CovariantHessian:
-    """Covariant Hessian of the potential in (0,2) and (1,1) form."""
-
-    h_lower: np.ndarray
-    h_mixed: np.ndarray
 
 
 @dataclass
@@ -153,103 +134,59 @@ def metric_from_jacobian(jac_psi: np.ndarray) -> MetricTensor:
     return MetricTensor(g=g, g_inv=g_inv)
 
 
-def christoffel(
-    metric_field: Callable[[np.ndarray], MetricTensor],
-    u: np.ndarray,
-    fd_step: float = 1e-5,
-    metric_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> ChristoffelSymbols:
-    """Levi-Civita connection coefficients at u.
+def central_difference(f: Callable, u: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference derivative of the array-valued f at u.
+
+    The result has f's shape plus a last axis k holding d f / d u^k. Only
+    the geometry validation and the tests differentiate numerically; the
+    search uses the analytic derivatives of its charts.
+    """
+    u = _as_vector(u)
+    cols = [
+        (np.asarray(f(u + e), dtype=float) - np.asarray(f(u - e), dtype=float)) / (2.0 * step)
+        for e in step * np.eye(u.shape[0])
+    ]
+    return np.stack(cols, axis=-1)
+
+
+def christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Levi-Civita connection coefficients gamma[l, j, k] = Gamma^l_jk.
 
     Gamma^l_jk = 1/2 sum_i g^li (d_k g_ij + d_j g_ik - d_i g_jk)
 
-    Metric derivatives come from central differences with step ``fd_step``
-    unless an analytic ``metric_jacobian`` (d g_ij / d u^k, indexed [i,j,k])
-    is supplied.
+    from the inverse metric and the metric derivative dg[i, j, k] = d g_ij / d u^k.
     """
-    u = _as_vector(u)
-    d = u.shape[0]
-    g0 = metric_field(u)
-    if metric_jacobian is not None:
-        dg = np.asarray(metric_jacobian(u), dtype=float)
-    else:
-        dg = np.empty((d, d, d))
-        for k in range(d):
-            step = np.zeros(d)
-            step[k] = fd_step
-            gp = metric_field(u + step).g
-            gm = metric_field(u - step).g
-            dg[:, :, k] = (gp - gm) / (2.0 * fd_step)
     if not np.all(np.isfinite(dg)):
-        raise NonFiniteEvaluationError("non-finite metric derivative", point=u)
-    # dg[i,j,k] = d g_ij / d u^k; build d_k g_ij + d_j g_ik - d_i g_jk
+        raise NonFiniteEvaluationError("non-finite metric derivative")
+    # build d_k g_ij + d_j g_ik - d_i g_jk
     term = dg + dg.transpose(0, 2, 1) - dg.transpose(2, 0, 1)
-    gamma = 0.5 * np.einsum("li,ijk->ljk", g0.g_inv, term)
-    gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))  # enforce lower-index symmetry exactly
-    return ChristoffelSymbols(gamma=gamma)
+    gamma = 0.5 * np.einsum("li,ijk->ljk", g_inv, term)
+    return 0.5 * (gamma + gamma.transpose(0, 2, 1))  # enforce lower-index symmetry exactly
 
 
-def sharp_flat(vec_or_covec: Vector, g: MetricTensor, direction: str) -> Vector:
-    """Musical isomorphisms: raise ('sharp') or lower ('flat') an index."""
-    v = _as_vector(vec_or_covec)
-    if direction == "sharp":
-        return g.g_inv @ v
-    if direction == "flat":
-        return g.g @ v
-    raise ValueError(f"direction must be 'sharp' or 'flat', got {direction!r}")
+def covariant_hessian(g: MetricTensor, gamma: np.ndarray, y: Vector, dy: np.ndarray) -> np.ndarray:
+    """Covariant Hessian h_ij of the potential, (0,2) form, from its force field.
 
+    For Y = -grad U on the chart with Jacobian dy[i, j] = dY^i/du^j,
 
-def covariant_hessian_from_force(
-    force_field: Optional[Callable[[np.ndarray], np.ndarray]],
-    gamma: ChristoffelSymbols,
-    g: MetricTensor,
-    u: np.ndarray,
-    fd_step: float = 1e-5,
-    force_jacobian: Optional[np.ndarray] = None,
-    force_value: Optional[np.ndarray] = None,
-) -> CovariantHessian:
-    """Covariant Hessian of the potential from its (negative-gradient) force field.
+        (Hess U)^i_j = -(dY^i/du^j + sum_l Gamma^i_jl Y^l)
 
-    For Y = -grad U expressed on the chart,
-
-        h_mixed[i, j] = -(dY^i/du^j + sum_l Gamma^i_jl Y^l)
-
-    which is (Hess U)^i_j = (nabla_j grad U)^i. The (0,2) form is
-    symmetrized because a regressed Y is not an exact gradient, while the
-    true covariant Hessian of a scalar is symmetric. ``force_field`` may be
-    None when both ``force_value`` and ``force_jacobian`` are supplied.
+    and h = g @ Hess U. It is symmetrized because a regressed Y is not an
+    exact gradient, while the true covariant Hessian of a scalar is
+    symmetric. The (1,1) form acting on tangent vectors is ``g.g_inv @ h``.
     """
-    u = _as_vector(u)
-    d = u.shape[0]
-    if force_value is not None:
-        y0 = np.asarray(force_value, dtype=float)
-    else:
-        y0 = np.asarray(force_field(u), dtype=float)
-    if force_jacobian is not None:
-        dy = np.asarray(force_jacobian, dtype=float)
-    else:
-        dy = np.empty((d, d))
-        for j in range(d):
-            step = np.zeros(d)
-            step[j] = fd_step
-            yp = np.asarray(force_field(u + step), dtype=float)
-            ym = np.asarray(force_field(u - step), dtype=float)
-            dy[:, j] = (yp - ym) / (2.0 * fd_step)
-    if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(dy))):
-        raise NonFiniteEvaluationError("non-finite force evaluation", point=u)
-    h_mixed = -(dy + np.einsum("ijl,l->ij", gamma.gamma, y0))
-    h_lower = g.g @ h_mixed
-    h_lower = 0.5 * (h_lower + h_lower.T)
-    h_mixed = g.g_inv @ h_lower
-    return CovariantHessian(h_lower=h_lower, h_mixed=h_mixed)
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dy))):
+        raise NonFiniteEvaluationError("non-finite force evaluation")
+    h = g.g @ -(dy + np.einsum("ijl,l->ij", gamma, y))
+    return 0.5 * (h + h.T)
 
 
 def smallest_eigpair(
-    h: CovariantHessian,
+    h: np.ndarray,
     g: MetricTensor,
     prev_v: Optional[Vector] = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Smallest eigenpair of the generalized problem h_lower v = lambda g v.
+    """Smallest eigenpair of the generalized problem h v = lambda g v, h the (0,2) Hessian.
 
     Returns (lambda_min, v, spectrum) with v normalized so g(v, v) = 1 and
     the spectrum sorted ascending. The sign of v is chosen to maximize the
@@ -258,7 +195,7 @@ def smallest_eigpair(
     magnitude is made positive.
     """
     try:
-        w, vecs = scipy.linalg.eigh(h.h_lower, g.g)
+        w, vecs = scipy.linalg.eigh(h, g.g)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - scipy internal failure
         raise DegenerateChartError(f"generalized eigensolve failed: {exc}") from exc
     v = vecs[:, 0]
@@ -290,13 +227,13 @@ def isd_field(x_force: Vector, v: Vector, g: MetricTensor) -> Vector:
 
 @dataclass(frozen=True)
 class ChartGeometry:
-    """Everything one integration step needs at a chart point."""
+    """Everything one integration step reads at a chart point: psi(u), the
+    metric, the chart force and the (0,2) covariant Hessian of the potential."""
 
     ambient: np.ndarray
     metric: MetricTensor
-    christoffel: ChristoffelSymbols
     force: np.ndarray
-    hessian: CovariantHessian
+    hessian: np.ndarray
 
 
 def _metric_jacobian(jac: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -307,7 +244,7 @@ def _metric_jacobian(jac: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 
 class GeometryField:
-    """Metric, connection, force, and covariant Hessian over a learned chart.
+    """Metric, force, and covariant Hessian over a learned chart.
 
     Built from two regressors with ``predict_with_derivatives``: the
     parameterization ``psi`` (chart -> ambient) and ``chart_force`` (ambient
@@ -326,13 +263,10 @@ class GeometryField:
     def evaluate(self, u: np.ndarray) -> ChartGeometry:
         x_amb, jac_psi, second = self.psi.predict_with_derivatives(u, order=2)
         g = metric_from_jacobian(jac_psi)
-        dg = _metric_jacobian(jac_psi, second)
-        gamma = christoffel(lambda _: g, u, metric_jacobian=lambda _: dg)
+        gamma = christoffel(g.g_inv, _metric_jacobian(jac_psi, second))
         y, jac_amb, _ = self.chart_force.predict_with_derivatives(x_amb, order=1)
-        hess = covariant_hessian_from_force(
-            None, gamma, g, u, force_jacobian=jac_amb @ jac_psi, force_value=y
-        )
-        return ChartGeometry(ambient=x_amb, metric=g, christoffel=gamma, force=y, hessian=hess)
+        hess = covariant_hessian(g, gamma, y, jac_amb @ jac_psi)
+        return ChartGeometry(ambient=x_amb, metric=g, force=y, hessian=hess)
 
     # single-quantity views for tests and callers that need one tensor;
     # perfbench/worker.py also looks these names up to trace them
@@ -346,11 +280,11 @@ class GeometryField:
         _, jac, second = self.psi.predict_with_derivatives(u, order=2)
         return _metric_jacobian(jac, second)
 
-    def christoffel(self, u: np.ndarray) -> ChristoffelSymbols:
-        return self.evaluate(u).christoffel
+    def christoffel(self, u: np.ndarray) -> np.ndarray:
+        return christoffel(self.metric(u).g_inv, self.metric_jacobian(u))
 
     def force(self, u: np.ndarray) -> np.ndarray:
         return self.evaluate(u).force
 
-    def covariant_hessian(self, u: np.ndarray) -> CovariantHessian:
+    def covariant_hessian(self, u: np.ndarray) -> np.ndarray:
         return self.evaluate(u).hessian

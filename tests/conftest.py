@@ -11,10 +11,12 @@ class QuadraticSaddleChart:
     """Exact identity chart of U = u1^2 - u2^2 on the flat plane.
 
     It has only the four methods the search loop may call on a chart.
+    ``psi`` is the matrix of its linear parameterization; a singular one
+    makes every ``evaluate`` raise DegenerateChartError.
     """
 
-    def __init__(self):
-        self._field = GeometryField(LinearChartStub(np.eye(2)), LinearChartStub(np.diag([-2.0, 2.0])))
+    def __init__(self, psi=np.eye(2)):
+        self._field = GeometryField(LinearChartStub(psi), LinearChartStub(np.diag([-2.0, 2.0])))
 
     def to_chart(self, x):
         return np.array(x, dtype=float)

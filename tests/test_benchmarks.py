@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from saddlemap import benchmarks
 from saddlemap.geometry import metric_from_jacobian, smallest_eigpair
@@ -27,14 +30,14 @@ class TestSphereExactChart:
         geo = CHART.evaluate(np.zeros(2))
         assert np.allclose(geo.ambient, [0.0, 0.0, -1.0])
         assert np.allclose(geo.metric.g, np.diag([4.0, 4.0]))
-        assert np.max(np.abs(geo.christoffel.gamma)) == 0.0
+        assert np.max(np.abs(CHART.christoffel(np.zeros(2)))) == 0.0
         assert np.allclose(geo.force, 0.0)
-        assert np.allclose(geo.hessian.h_mixed, [[0.0, -1.0], [-1.0, 0.0]])
+        assert np.allclose(geo.metric.g_inv @ geo.hessian, [[0.0, -1.0], [-1.0, 0.0]])
 
     def test_equator_point(self):
         geo = CHART.evaluate(np.array([1.0, 0.0]))
         assert np.allclose(geo.ambient, [1.0, 0.0, 0.0])
-        assert geo.christoffel.gamma[0, 0, 0] == pytest.approx(-1.0)
+        assert CHART.christoffel(np.array([1.0, 0.0]))[0, 0, 0] == pytest.approx(-1.0)
 
     def test_parameterization_stays_on_sphere(self, rng):
         for _ in range(100):
@@ -66,6 +69,28 @@ class TestSphereExactChart:
             ])
             riem = CHART.metric(u).g_inv @ du
             assert np.max(np.abs(riem - CHART.gradient(u))) < 1e-8
+
+
+coords = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+class TestStereographicRoundTripProperties:
+    """phi and psi are inverse maps between the plane and the sphere minus
+    the North pole."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, 2, elements=coords))
+    def test_chart_point_round_trip(self, u):
+        s = float(u @ u)
+        assert np.max(np.abs(CHART.to_chart(CHART.psi(u)) - u)) <= 1e-15 * (1.0 + s) ** 1.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, 3, elements=coords).filter(lambda v: np.linalg.norm(v) > 1e-3))
+    def test_sphere_point_round_trip(self, v):
+        x = benchmarks.sphere_project(v)
+        if x[2] > 0.9:  # away from the North pole, where phi blows up
+            x = -x
+        assert np.max(np.abs(CHART.psi(CHART.to_chart(x)) - x)) <= 1e-14 / (1.0 - x[2])
 
 
 class TestSphereProblem:
@@ -347,6 +372,6 @@ class TestChartInvariantScalars:
             u_e = CHART.phi(q)
             g_e = CHART.metric(u_e)
             y_e = CHART.force(u_e)
-            lam_e, _, _ = smallest_eigpair(CHART.covariant_hessian(u_e), g_e)
+            lam_e, _, _ = smallest_eigpair(CHART.covariant_hessian(u_e, g_e), g_e)
             assert abs(g_l.norm(y_l) - g_e.norm(y_e)) <= 0.1 * max(g_e.norm(y_e), 0.05)
             assert abs(lam_l - lam_e) <= 0.1 * max(abs(lam_e), 0.05)

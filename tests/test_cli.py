@@ -1,10 +1,15 @@
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from saddlemap import cli
-from saddlemap.geometry import ChristoffelSymbols, christoffel
+from saddlemap.driver import DriverConfig, run_search
+from saddlemap.geometry import christoffel
+
+from conftest import QuadraticSaddleChart, flat_problem
 
 
 def write_config(tmp_path, **overrides):
@@ -162,7 +167,42 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
 
+class TestWriteOutputs:
+    def test_record_degenerate_at_step_zero(self, tmp_path):
+        # a rank-deficient psi fails the first step of every chart; each
+        # record keeps one placeholder row, with NaN force norm and lambda_min
+        problem = dataclasses.replace(
+            flat_problem(), exact_chart=QuadraticSaddleChart(psi=[[1.0, 0.0], [0.0, 0.0]])
+        )
+        cfg = DriverConfig(n_iterations_max=2, n_ode_steps=5)
+        traj = run_search(problem, np.array([0.3, 0.2]), cfg, mode="exact_chart")
+        assert [r.exit_reason for r in traj.records] == ["degenerate", "degenerate"]
+        for rec in traj.records:
+            assert len(rec.step_force_norms) == len(rec.step_lambda_mins) == 1
+        config = cli.RunConfig(problem="sphere", mode="exact_chart", driver=cfg,
+                               output_dir=tmp_path / "out")
+        report = SimpleNamespace(saddles=lambda: np.zeros((1, 2)))
+        cli.write_outputs(config, problem, report, traj)
+        rows = (tmp_path / "out" / "trajectory.csv").read_text().strip().split("\n")[1:]
+        assert [r.split(",")[:2] for r in rows] == [["1", "0"], ["2", "0"]]
+        assert all(r.split(",")[-2:] == ["nan", "nan"] for r in rows)
+
+
 class TestValidateGeometry:
+    # float.hex of the five errors at --n 100 --seed 0, frozen from the
+    # kernels before their finite-difference loops became central_difference
+    ERRORS_N100_SEED0 = {
+        "metric_analytic": "0x1.28c55b25a71cep-52",
+        "christoffel_analytic": "0x1.8032a2d0b242cp-52",
+        "christoffel_fd": "0x1.e6d3897f1e34fp-34",
+        "gradient_fd": "0x1.6fcaad40939bdp-34",
+        "hessian_fd": "0x1.435d6cd266219p-32",
+    }
+
+    def test_errors_bitwise(self):
+        errors = cli.validate_geometry(100, seed=0)["errors"]
+        assert {k: float(v).hex() for k, v in errors.items()} == self.ERRORS_N100_SEED0
+
     def test_analytic_paths_pass(self, tmp_path):
         report_path = tmp_path / "report.json"
         code = cli.main(["validate-geometry", "--n", "100", "--seed", "0",
@@ -177,9 +217,8 @@ class TestValidateGeometry:
 
     def test_corrupted_christoffel_detected(self):
         # mutation fixture: drop the 1/2 factor of the connection formula
-        def corrupted(metric_field, u, fd_step=1e-5, metric_jacobian=None):
-            out = christoffel(metric_field, u, fd_step=fd_step, metric_jacobian=metric_jacobian)
-            return ChristoffelSymbols(gamma=2.0 * out.gamma)
+        def corrupted(g_inv, dg):
+            return 2.0 * christoffel(g_inv, dg)
 
         result = cli.validate_geometry(25, seed=1, christoffel_fn=corrupted)
         assert not result["passed"]

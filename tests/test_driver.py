@@ -76,7 +76,7 @@ class TestIntegrateOnSyntheticChart:
         rec = integrate_isd_on_chart(chart, np.zeros(2), cfg)
         assert rec.exit_reason == EXIT_CONVERGED
         assert len(rec.chart_trajectory) == 1
-        assert rec.lambda_min == pytest.approx(-2.0)
+        assert rec.step_lambda_mins[-1] == pytest.approx(-2.0)
         assert rec.spectrum[1] == pytest.approx(2.0)
 
     def test_records_are_consistent(self):
@@ -86,7 +86,7 @@ class TestIntegrateOnSyntheticChart:
         assert len(rec.chart_trajectory) == 51
         assert len(rec.ambient_trajectory) == 51
         assert len(rec.step_force_norms) == 51
-        assert rec.force_norm == rec.step_force_norms[-1]
+        assert len(rec.step_lambda_mins) == 51
 
 
 class TestBuildLocalChart:

@@ -7,16 +7,15 @@ from hypothesis.extra.numpy import arrays
 from saddlemap import benchmarks
 from saddlemap.errors import DegenerateChartError
 from saddlemap.geometry import (
-    CovariantHessian,
     GADState,
     MetricTensor,
+    central_difference,
     christoffel,
-    covariant_hessian_from_force,
+    covariant_hessian,
     gad_extended_field,
     isd_field,
     metric_from_jacobian,
     rayleigh_quotient,
-    sharp_flat,
     smallest_eigpair,
 )
 
@@ -28,6 +27,17 @@ CHART = benchmarks.StereographicSphereChart()
 def metric_tensor(g):
     g = np.asarray(g, dtype=float)
     return MetricTensor(g=g, g_inv=np.linalg.inv(g))
+
+
+def fd_christoffel(metric_field, u, step):
+    """The connection from a central-difference metric derivative."""
+    dg = central_difference(lambda v: metric_field(v).g, u, step)
+    return christoffel(metric_field(u).g_inv, dg)
+
+
+def fd_hessian(force_field, gamma, g, u, step):
+    """The (0,2) covariant Hessian from a central-difference force Jacobian."""
+    return covariant_hessian(g, gamma, force_field(u), central_difference(force_field, u, step))
 
 
 class TestRayleighQuotient:
@@ -132,62 +142,78 @@ class TestMetricFromJacobian:
 class TestChristoffel:
     def test_euclidean_zero(self):
         flat = lambda u: metric_tensor(np.eye(2))
-        out = christoffel(flat, np.array([0.3, -0.7]))
-        assert np.max(np.abs(out.gamma)) < 1e-12
+        out = fd_christoffel(flat, np.array([0.3, -0.7]), 1e-5)
+        assert np.max(np.abs(out)) < 1e-12
 
     def test_example_value_at_1_0(self):
-        out = christoffel(CHART.metric, np.array([1.0, 0.0]), fd_step=1e-6)
-        assert out.gamma[0, 0, 0] == pytest.approx(-1.0, abs=1e-8)
+        out = fd_christoffel(CHART.metric, np.array([1.0, 0.0]), 1e-6)
+        assert out[0, 0, 0] == pytest.approx(-1.0, abs=1e-8)
 
     def test_matches_closed_forms(self, rng):
         # oracle: the closed-form symbols of the stereographic chart
         for _ in range(10):
             u = rng.uniform(-1.4, 1.4, 2)
-            out = christoffel(CHART.metric, u, fd_step=1e-6)
-            assert np.allclose(out.gamma, out.gamma.transpose(0, 2, 1))
-            assert np.max(np.abs(out.gamma - CHART.christoffel(u).gamma)) < 1e-6
+            out = fd_christoffel(CHART.metric, u, 1e-6)
+            assert np.allclose(out, out.transpose(0, 2, 1))
+            assert np.max(np.abs(out - CHART.christoffel(u))) < 1e-6
 
     def test_analytic_path_matches_fd(self, rng):
         for _ in range(20):
             u = rng.uniform(-2, 2, 2)
             if np.linalg.norm(u) >= 2.0:
                 u *= 0.9 * 2.0 / np.linalg.norm(u)
-            fd = christoffel(CHART.metric, u, fd_step=1e-5)
-            analytic = christoffel(CHART.metric, u, metric_jacobian=CHART.metric_jacobian)
-            assert np.max(np.abs(fd.gamma - analytic.gamma)) < 5e-6
+            fd = fd_christoffel(CHART.metric, u, 1e-5)
+            analytic = christoffel(CHART.metric(u).g_inv, CHART.metric_jacobian(u))
+            assert np.max(np.abs(fd - analytic)) < 5e-6
+
+
+@pytest.fixture(scope="class")
+def learned_chart():
+    from saddlemap.driver import DriverConfig, build_local_chart
+    from saddlemap.sampling import SamplerConfig
+
+    base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
+    cfg = DriverConfig(sampler=SamplerConfig(n_samples=500, perturbation_scale=0.15), seed=0)
+    return build_local_chart(benchmarks.sphere_problem(), base, cfg)
 
 
 class TestEvaluate:
     """``evaluate`` is the free-function composition, bit for bit."""
 
-    def test_learned_chart_matches_free_functions(self):
-        from saddlemap.driver import DriverConfig, build_local_chart
-        from saddlemap.sampling import SamplerConfig
-
-        base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
-        cfg = DriverConfig(sampler=SamplerConfig(n_samples=500, perturbation_scale=0.15), seed=0)
-        local = build_local_chart(benchmarks.sphere_problem(), base, cfg)
+    def test_learned_chart_matches_free_functions(self, learned_chart):
+        local = learned_chart
         psi, chart_force = local.psi, local.chart_force
         for q in local.cloud.points[::50]:
             u = local.to_chart(q)
             x_amb, jac, second = psi.predict_with_derivatives(u, order=2)
             g = metric_from_jacobian(jac)
             term = np.einsum("cki,cj->ijk", second, jac)
-            gamma = christoffel(lambda _: g, u, metric_jacobian=lambda _: term + term.transpose(1, 0, 2))
+            gamma = christoffel(g.g_inv, term + term.transpose(1, 0, 2))
             # the force side as composed before evaluate existed: an order-1 psi call
             x_1, jac_1, _ = psi.predict_with_derivatives(u, order=1)
             y, jac_amb, _ = chart_force.predict_with_derivatives(x_1, order=1)
-            hess = covariant_hessian_from_force(
-                None, gamma, g, u, force_jacobian=jac_amb @ jac_1, force_value=y
-            )
+            hess = covariant_hessian(g, gamma, y, jac_amb @ jac_1)
             geo = local.evaluate(u)
             assert np.array_equal(geo.ambient, x_amb)
             assert np.array_equal(geo.metric.g, g.g)
             assert np.array_equal(geo.metric.g_inv, g.g_inv)
-            assert np.array_equal(geo.christoffel.gamma, gamma.gamma)
+            assert np.array_equal(local.christoffel(u), gamma)
             assert np.array_equal(geo.force, y)
-            assert np.array_equal(geo.hessian.h_lower, hess.h_lower)
-            assert np.array_equal(geo.hessian.h_mixed, hess.h_mixed)
+            assert np.array_equal(geo.hessian, hess)
+
+    def test_views_match_evaluate(self, learned_chart):
+        # the single-quantity views are what the benchmark's tracer wraps
+        local = learned_chart
+        for q in local.cloud.points[::50]:
+            u = local.to_chart(q)
+            geo = local.evaluate(u)
+            assert np.array_equal(local.ambient(u), geo.ambient)
+            assert np.array_equal(local.metric(u).g, geo.metric.g)
+            assert np.array_equal(local.metric(u).g_inv, geo.metric.g_inv)
+            assert np.array_equal(local.force(u), geo.force)
+            assert np.array_equal(local.covariant_hessian(u), geo.hessian)
+            expected = christoffel(geo.metric.g_inv, local.metric_jacobian(u))
+            assert np.array_equal(local.christoffel(u), expected)
 
     def test_exact_chart_matches_closed_forms(self, rng):
         for _ in range(10):
@@ -196,47 +222,25 @@ class TestEvaluate:
             assert np.array_equal(geo.ambient, CHART.psi(u))
             assert np.array_equal(geo.metric.g, CHART.metric(u).g)
             assert np.array_equal(geo.metric.g_inv, CHART.metric(u).g_inv)
-            assert np.array_equal(geo.christoffel.gamma, CHART.christoffel(u).gamma)
             assert np.array_equal(geo.force, CHART.force(u))
-            assert np.array_equal(geo.hessian.h_lower, CHART.covariant_hessian(u).h_lower)
-            assert np.array_equal(geo.hessian.h_mixed, CHART.covariant_hessian(u).h_mixed)
-
-
-class TestSharpFlat:
-    def test_polar_gradient(self):
-        g = metric_tensor(np.diag([1.0, 4.0]))  # polar metric at r = 2
-        out = sharp_flat(np.array([0.0, 1.0]), g, "sharp")
-        assert np.allclose(out, [0.0, 0.25])
-
-    def test_identity_metric(self, rng):
-        g = metric_tensor(np.eye(3))
-        v = rng.standard_normal(3)
-        assert np.allclose(sharp_flat(v, g, "sharp"), v)
-
-    def test_inverse_pair(self, rng):
-        for _ in range(20):
-            g = metric_tensor(random_spd(rng, 3))
-            v = rng.standard_normal(3)
-            back = sharp_flat(sharp_flat(v, g, "sharp"), g, "flat")
-            assert np.max(np.abs(back - v)) < 1e-10
+            assert np.array_equal(geo.hessian, CHART.covariant_hessian(u, CHART.metric(u)))
 
 
 class TestCovariantHessian:
     def test_example_origin(self):
         u = np.zeros(2)
-        out = covariant_hessian_from_force(
-            CHART.force, CHART.christoffel(u), CHART.metric(u), u, fd_step=1e-6
-        )
-        assert np.allclose(out.h_mixed, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-9)
+        g = CHART.metric(u)
+        out = fd_hessian(CHART.force, CHART.christoffel(u), g, u, 1e-6)
+        assert np.allclose(g.g_inv @ out, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-9)
 
     def test_flat_quadratic(self):
         def force(u):
             return np.array([-2.0 * u[0], 2.0 * u[1]])
 
         g = metric_tensor(np.eye(2))
-        gamma = christoffel(lambda u: g, np.zeros(2))
-        out = covariant_hessian_from_force(force, gamma, g, np.array([0.4, 0.1]))
-        assert np.allclose(out.h_mixed, np.diag([2.0, -2.0]), atol=1e-8)
+        gamma = fd_christoffel(lambda u: g, np.zeros(2), 1e-5)
+        out = fd_hessian(force, gamma, g, np.array([0.4, 0.1]), 1e-5)
+        assert np.allclose(g.g_inv @ out, np.diag([2.0, -2.0]), atol=1e-8)
 
     def test_scalar_field_oracle(self, rng):
         # oracle: d_j d_k (U o psi) - Gamma^l_jk d_l (U o psi) via finite differences
@@ -244,7 +248,7 @@ class TestCovariantHessian:
             u = rng.uniform(-1.2, 1.2, 2)
             g = CHART.metric(u)
             gamma = CHART.christoffel(u)
-            out = covariant_hessian_from_force(CHART.force, gamma, g, u, fd_step=1e-5)
+            out = fd_hessian(CHART.force, gamma, g, u, 1e-5)
             h = 1e-5
             d2 = np.zeros((2, 2))
             for j in range(2):
@@ -260,17 +264,15 @@ class TestCovariantHessian:
                 (CHART.potential(u + np.eye(2)[l] * h) - CHART.potential(u - np.eye(2)[l] * h)) / (2 * h)
                 for l in range(2)
             ])
-            oracle = d2 - np.einsum("ljk,l->jk", gamma.gamma, du)
-            assert np.allclose(out.h_lower, out.h_lower.T)
-            assert np.max(np.abs(out.h_lower - oracle)) < 1e-5
+            oracle = d2 - np.einsum("ljk,l->jk", gamma, du)
+            assert np.allclose(out, out.T)
+            assert np.max(np.abs(out - oracle)) < 1e-5
 
 
 class TestSmallestEigpair:
     def test_euclidean_diagonal(self):
-        h = covariant_hessian_from_force(
-            lambda u: np.zeros(2), christoffel(lambda u: metric_tensor(np.eye(2)), np.zeros(2)),
-            metric_tensor(np.eye(2)), np.zeros(2),
-            force_jacobian=np.diag([-3.0, 2.0]),
+        h = covariant_hessian(
+            metric_tensor(np.eye(2)), np.zeros((2, 2, 2)), np.zeros(2), np.diag([-3.0, 2.0])
         )
         lam, v, spectrum = smallest_eigpair(h, metric_tensor(np.eye(2)))
         assert lam == pytest.approx(-2.0)
@@ -280,7 +282,7 @@ class TestSmallestEigpair:
     def test_example_origin_generalized(self):
         # oracle: generalized eigensolve of the closed-form tensors
         g = metric_tensor(np.diag([4.0, 4.0]))
-        hess = CHART.covariant_hessian(np.zeros(2))
+        hess = CHART.covariant_hessian(np.zeros(2), g)
         lam, v, spectrum = smallest_eigpair(hess, g)
         assert lam == pytest.approx(-1.0, abs=1e-12)
         assert np.allclose(np.abs(v), np.ones(2) / (2.0 * np.sqrt(2.0)), atol=1e-12)
@@ -290,16 +292,13 @@ class TestSmallestEigpair:
             g = metric_tensor(random_spd(rng, 3))
             a = rng.standard_normal((3, 3))
             h_lower = a + a.T
-            from saddlemap.geometry import CovariantHessian
-            hess = CovariantHessian(h_lower=h_lower, h_mixed=g.g_inv @ h_lower)
-            lam, v, spectrum = smallest_eigpair(hess, g)
+            lam, v, spectrum = smallest_eigpair(h_lower, g)
             assert abs(g.inner(v, v) - 1.0) < 1e-10
             assert rayleigh_quotient(h_lower, v, g) == pytest.approx(lam, abs=1e-10)
 
     def test_sign_continuity(self):
         g = metric_tensor(np.eye(2))
-        from saddlemap.geometry import CovariantHessian
-        hess = CovariantHessian(h_lower=np.diag([-1.0, 1.0]), h_mixed=np.diag([-1.0, 1.0]))
+        hess = np.diag([-1.0, 1.0])
         _, v_prev, _ = smallest_eigpair(hess, g)
         _, v_flip, _ = smallest_eigpair(hess, g, prev_v=-v_prev)
         assert np.allclose(v_flip, -v_prev)
@@ -421,7 +420,7 @@ class TestChristoffelProperties:
     @given(metric_cases())
     def test_lower_index_symmetry(self, case):
         g, dg = case
-        gamma = christoffel(lambda _: g, np.zeros(g.dim), metric_jacobian=lambda _: dg).gamma
+        gamma = christoffel(g.g_inv, dg)
         assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
 
     @settings(max_examples=200, deadline=None)
@@ -429,7 +428,7 @@ class TestChristoffelProperties:
     def test_metric_compatibility(self, case):
         # d_k g_ij = g_il Gamma^l_jk + g_jl Gamma^l_ik
         g, dg = case
-        gamma = christoffel(lambda _: g, np.zeros(g.dim), metric_jacobian=lambda _: dg).gamma
+        gamma = christoffel(g.g_inv, dg)
         lowered = np.einsum("il,ljk->ijk", g.g, gamma)
         rebuilt = lowered + lowered.transpose(1, 0, 2)
         assert np.max(np.abs(rebuilt - dg)) <= 1e-12 * np.max(np.abs(dg))
@@ -444,7 +443,7 @@ class TestISDFixedPointProperties:
     def test_saddle_is_stable_fixed_point(self, case):
         g, h_lower = case
         h_mixed = g.g_inv @ h_lower
-        _, v, _ = smallest_eigpair(CovariantHessian(h_lower=h_lower, h_mixed=h_mixed), g)
+        _, v, _ = smallest_eigpair(h_lower, g)
         assert np.all(isd_field(np.zeros(g.dim), v, g) == 0.0)
         # u -> isd_field(-h_mixed u, v, g) is linear, so its columns on the
         # unit vectors are its Jacobian
@@ -461,7 +460,7 @@ class TestGeodesics:
             def rhs(state):
                 uu, dd = state
                 gam = CHART.christoffel(uu)
-                return np.array([dd, -np.einsum("ljk,j,k->l", gam.gamma, dd, dd)])
+                return np.array([dd, -np.einsum("ljk,j,k->l", gam, dd, dd)])
 
             s = np.array([u, du])
             k1 = rhs(s)

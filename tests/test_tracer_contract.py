@@ -40,11 +40,7 @@ def test_traced_names_and_configs_resolve(monkeypatch):
         assert isinstance(make_config(0), DriverConfig)
 
 
-def test_every_guarded_layer_records_calls(monkeypatch):
-    # a layer the program captured at import (a default argument, a closure,
-    # a bound alias) would escape the tracer's wrapper and read as 0 calls.
-    # geometry.eval and dimred.bandwidth are left out: the tracer wraps names
-    # (the single-quantity views, bandwidth_median_rule) the search never calls
+def traced_spans(monkeypatch, mode):
     worker = load_worker(monkeypatch)
     tracer = worker.Tracer()
     cfg = DriverConfig(sampler=SamplerConfig(n_samples=300, perturbation_scale=0.15),
@@ -52,10 +48,26 @@ def test_every_guarded_layer_records_calls(monkeypatch):
     start = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
     try:
         worker.install(tracer)
-        run_search(benchmarks.sphere_problem(), start, cfg)
+        run_search(benchmarks.sphere_problem(), start, cfg, mode=mode)
     finally:
         tracer.uninstall()
-    spans = tracer.summary(tracer.run_id)
+    return tracer.summary(tracer.run_id)
+
+
+def test_every_guarded_layer_records_calls(monkeypatch):
+    # a layer the program captured at import (a default argument, a closure,
+    # a bound alias) would escape the tracer's wrapper and read as 0 calls.
+    # geometry.eval, dimred.bandwidth and sampling.tether are left out: the
+    # tracer wraps names (the single-quantity views, bandwidth_median_rule,
+    # the tether) the search never calls
+    spans = traced_spans(monkeypatch, "learned_chart")
     for name in ("driver.chart_build", "driver.integrate", "sampling.cloud", "dimred.dmap",
-                 "dimred.select", "regression.select", "regression.factor"):
+                 "dimred.select", "kernels.gaussian", "regression.select", "regression.fit",
+                 "regression.factor", "regression.predict", "geometry.eigpair"):
+        assert spans[name]["calls"] >= 1, name
+
+
+def test_exact_chart_search_records_calls(monkeypatch):
+    spans = traced_spans(monkeypatch, "exact_chart")
+    for name in ("driver.integrate", "geometry.eigpair"):
         assert spans[name]["calls"] >= 1, name
