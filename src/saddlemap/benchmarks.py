@@ -19,37 +19,55 @@ import numpy as np
 from .driver import ProblemDefinition
 from .geometry import ChartGeometry, MetricTensor
 
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair, bit for bit the 1-D ``a[i] @ b[i]``.
+
+    Stacked matmul calls the same BLAS ``ddot`` per row; ``einsum`` and
+    ``(a * b).sum(axis=-1)`` round differently.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit the 1-D ``np.linalg.norm``."""
+    return np.sqrt(_row_dots(a, a))
+
+
 # ---------------------------------------------------------------------------
 # sphere with E = x1 x2 x3
 # ---------------------------------------------------------------------------
+# Every problem function below takes one point (n,) or a stack of rows
+# (k, n), and row i of a stacked result is bit for bit the result at row i.
 
 
-def sphere_energy(x: np.ndarray) -> float:
-    return float(x[0] * x[1] * x[2])
+def sphere_energy(x: np.ndarray) -> np.ndarray:
+    return x[..., 0] * x[..., 1] * x[..., 2]
 
 
 def sphere_energy_gradient(x: np.ndarray) -> np.ndarray:
-    return np.array([x[1] * x[2], x[0] * x[2], x[0] * x[1]])
+    return np.stack([x[..., 1] * x[..., 2], x[..., 0] * x[..., 2], x[..., 0] * x[..., 1]], axis=-1)
 
 
 def sphere_energy_hessian(x: np.ndarray) -> np.ndarray:
-    return np.array([
-        [0.0, x[2], x[1]],
-        [x[2], 0.0, x[0]],
-        [x[1], x[0], 0.0],
-    ])
+    zero = np.zeros_like(x[..., 0])
+    return np.stack([
+        np.stack([zero, x[..., 2], x[..., 1]], axis=-1),
+        np.stack([x[..., 2], zero, x[..., 0]], axis=-1),
+        np.stack([x[..., 1], x[..., 0], zero], axis=-1),
+    ], axis=-2)
 
 
 def sphere_project(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    return x / np.linalg.norm(x)
+    return x / _row_norms(x)[..., None]
 
 
 def sphere_force(x: np.ndarray) -> np.ndarray:
     """Tangential negative gradient -(I - x x^T) grad E on the unit sphere."""
     x = np.asarray(x, dtype=float)
     grad = sphere_energy_gradient(x)
-    return -(grad - (x @ grad) * x)
+    return -(grad - _row_dots(x, grad)[..., None] * x)
 
 
 class StereographicSphereChart:
@@ -193,66 +211,68 @@ SURFACE_COEFFS = np.array([
 ])
 
 
-def mb_potential(p: np.ndarray) -> float:
-    dx = p[0] - MB_X0
-    dy = p[1] - MB_Y0
-    return float(np.sum(MB_A * np.exp(MB_a * dx * dx + MB_b * dx * dy + MB_c * dy * dy)))
+def _mb_terms(p: np.ndarray):
+    """Offsets from the four Mueller-Brown centres and the weighted exponentials."""
+    dx = p[..., :1] - MB_X0
+    dy = p[..., 1:2] - MB_Y0
+    return dx, dy, MB_A * np.exp(MB_a * dx * dx + MB_b * dx * dy + MB_c * dy * dy)
+
+
+# a 4- or 6-term np.sum adds in order, on one point as on each row
+def mb_potential(p: np.ndarray) -> np.ndarray:
+    return np.sum(_mb_terms(p)[2], axis=-1)
 
 
 def mb_gradient(p: np.ndarray) -> np.ndarray:
-    dx = p[0] - MB_X0
-    dy = p[1] - MB_Y0
-    e = MB_A * np.exp(MB_a * dx * dx + MB_b * dx * dy + MB_c * dy * dy)
-    return np.array([
-        np.sum(e * (2.0 * MB_a * dx + MB_b * dy)),
-        np.sum(e * (MB_b * dx + 2.0 * MB_c * dy)),
-    ])
+    dx, dy, e = _mb_terms(p)
+    return np.stack([
+        np.sum(e * (2.0 * MB_a * dx + MB_b * dy), axis=-1),
+        np.sum(e * (MB_b * dx + 2.0 * MB_c * dy), axis=-1),
+    ], axis=-1)
 
 
 def mb_hessian(p: np.ndarray) -> np.ndarray:
-    dx = p[0] - MB_X0
-    dy = p[1] - MB_Y0
-    e = MB_A * np.exp(MB_a * dx * dx + MB_b * dx * dy + MB_c * dy * dy)
+    dx, dy, e = _mb_terms(p)
     gx = 2.0 * MB_a * dx + MB_b * dy
     gy = MB_b * dx + 2.0 * MB_c * dy
-    hxx = np.sum(e * (gx * gx + 2.0 * MB_a))
-    hxy = np.sum(e * (gx * gy + MB_b))
-    hyy = np.sum(e * (gy * gy + 2.0 * MB_c))
-    return np.array([[hxx, hxy], [hxy, hyy]])
+    hxx = np.sum(e * (gx * gx + 2.0 * MB_a), axis=-1)
+    hxy = np.sum(e * (gx * gy + MB_b), axis=-1)
+    hyy = np.sum(e * (gy * gy + 2.0 * MB_c), axis=-1)
+    return np.stack([np.stack([hxx, hxy], axis=-1), np.stack([hxy, hyy], axis=-1)], axis=-2)
 
 
-def surface_height(p: np.ndarray) -> float:
+def surface_height(p: np.ndarray) -> np.ndarray:
     k1, k2, a, b = SURFACE_COEFFS.T
-    return float(np.sum(a * np.cos(k1 * p[0] + k2 * p[1] + b)))
+    return np.sum(a * np.cos(k1 * p[..., :1] + k2 * p[..., 1:2] + b), axis=-1)
 
 
 def surface_height_gradient(p: np.ndarray) -> np.ndarray:
     k1, k2, a, b = SURFACE_COEFFS.T
-    s = -a * np.sin(k1 * p[0] + k2 * p[1] + b)
-    return np.array([np.sum(s * k1), np.sum(s * k2)])
+    s = -a * np.sin(k1 * p[..., :1] + k2 * p[..., 1:2] + b)
+    return np.stack([np.sum(s * k1, axis=-1), np.sum(s * k2, axis=-1)], axis=-1)
 
 
 def surface_lift(p: np.ndarray) -> np.ndarray:
-    return np.array([p[0], p[1], surface_height(p)])
+    p = np.asarray(p, dtype=float)[..., :2]
+    return np.concatenate([p, surface_height(p)[..., None]], axis=-1)
 
 
 def surface_project(x: np.ndarray) -> np.ndarray:
     """Vertical lift onto the graph: replace x3 by f(x1, x2)."""
-    x = np.asarray(x, dtype=float)
-    return np.array([x[0], x[1], surface_height(x[:2])])
+    return surface_lift(x)
 
 
-def surface_energy(x: np.ndarray) -> float:
-    return mb_potential(np.asarray(x, dtype=float)[:2])
+def surface_energy(x: np.ndarray) -> np.ndarray:
+    return mb_potential(np.asarray(x, dtype=float)[..., :2])
 
 
 def surface_force(x: np.ndarray) -> np.ndarray:
     """Ambient tangent representation of -grad_g MB, g = I + grad_f grad_f^T."""
-    p = np.asarray(x, dtype=float)[:2]
+    p = np.asarray(x, dtype=float)[..., :2]
     grad_f = surface_height_gradient(p)
-    g = np.eye(2) + np.outer(grad_f, grad_f)
-    du = -np.linalg.solve(g, mb_gradient(p))
-    return np.array([du[0], du[1], grad_f @ du])
+    g = np.eye(2) + grad_f[..., :, None] * grad_f[..., None, :]
+    du = -np.linalg.solve(g, mb_gradient(p)[..., None])[..., 0]
+    return np.concatenate([du, _row_dots(grad_f, du)[..., None]], axis=-1)
 
 
 def surface_problem() -> ProblemDefinition:
@@ -305,20 +325,6 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
         np.sin(theta) * np.sin(phi_angle),
         np.cos(phi_angle),
     ])
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row pair, bit for bit the 1-D ``a[i] @ b[i]``.
-
-    Stacked matmul calls the same BLAS ``ddot`` per row; ``einsum`` and
-    ``(a * b).sum(axis=1)`` round differently.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit the 1-D ``np.linalg.norm``."""
-    return np.sqrt(_row_dots(a, a))
 
 
 def _batched_newton(z, system, tol: float, radius: float, n_space: int):
@@ -374,21 +380,12 @@ def _first_found(points: np.ndarray) -> np.ndarray:
     return points[keep]
 
 
-def _sphere_gradients(x: np.ndarray) -> np.ndarray:
-    """``sphere_energy_gradient`` of each row."""
-    return np.column_stack([x[:, 1] * x[:, 2], x[:, 0] * x[:, 2], x[:, 0] * x[:, 1]])
-
-
 def _sphere_lagrange_system(z: np.ndarray):
     """F(x, lambda) = (grad E - lambda x, (|x|^2 - 1) / 2) and its Jacobian, per row."""
     x, lam = z[:, :3], z[:, 3]
-    f = np.column_stack([_sphere_gradients(x) - lam[:, None] * x, 0.5 * (_row_dots(x, x) - 1.0)])
-    hess = np.zeros((len(z), 3, 3))
-    hess[:, 0, 1] = hess[:, 1, 0] = x[:, 2]
-    hess[:, 0, 2] = hess[:, 2, 0] = x[:, 1]
-    hess[:, 1, 2] = hess[:, 2, 1] = x[:, 0]
+    f = np.column_stack([sphere_energy_gradient(x) - lam[:, None] * x, 0.5 * (_row_dots(x, x) - 1.0)])
     jac = np.zeros((len(z), 4, 4))
-    jac[:, :3, :3] = hess - lam[:, None, None] * np.eye(3)
+    jac[:, :3, :3] = sphere_energy_hessian(x) - lam[:, None, None] * np.eye(3)
     jac[:, :3, 3] = -x
     jac[:, 3, :3] = x
     return f, jac
@@ -396,7 +393,7 @@ def _sphere_lagrange_system(z: np.ndarray):
 
 def _sphere_newton(seeds: np.ndarray):
     """Batched Newton on F from (seed, seed . grad E(seed)): the (x, lambda) rows kept."""
-    z = np.column_stack([seeds, _row_dots(seeds, _sphere_gradients(seeds))])
+    z = np.column_stack([seeds, _row_dots(seeds, sphere_energy_gradient(seeds))])
     return _batched_newton(z, _sphere_lagrange_system, tol=1e-14, radius=5.0, n_space=3)
 
 
@@ -413,45 +410,26 @@ def sphere_critical_points(n_seeds: int = 10_000) -> CriticalPointReport:
     x = z[:, :3]
     converged = (_row_norms(f[:, :3]) <= 1e-10) & (np.abs(_row_dots(x, x) - 1.0) <= 1e-12)
     found = _first_found(x[converged])
+    if not len(found):
+        raise RuntimeError("Newton found no critical points on the sphere")
 
-    points = np.array(sorted(found, key=lambda p: (round(p[0], 9), round(p[1], 9), round(p[2], 9))))
-    indices = []
-    residuals = []
-    for x in points:
-        lam = x @ sphere_energy_gradient(x)
-        proj = np.eye(3) - np.outer(x, x)
-        hess_tan = proj @ (sphere_energy_hessian(x) - lam * np.eye(3)) @ proj
-        w, vecs = np.linalg.eigh(hess_tan)
-        # the projector contributes a spurious eigenpair along x itself
-        tangential = w[np.abs(vecs.T @ x) < 0.5]
-        indices.append(int(np.sum(tangential < 0.0)))
-        residuals.append(float(np.linalg.norm(sphere_force(x))))
+    x = np.array(sorted(found, key=lambda p: (round(p[0], 9), round(p[1], 9), round(p[2], 9))))
+    lam = _row_dots(x, sphere_energy_gradient(x))
+    proj = np.eye(3) - x[:, :, None] * x[:, None, :]
+    w, vecs = np.linalg.eigh(proj @ (sphere_energy_hessian(x) - lam[:, None, None] * np.eye(3)) @ proj)
+    # the projector contributes a spurious eigenpair along each point itself
+    tangential = np.abs(np.matmul(x[:, None, :], vecs)[:, 0, :]) < 0.5
     return CriticalPointReport(
-        points=points,
-        indices=np.array(indices, dtype=int),
-        residuals=np.array(residuals, dtype=float),
+        points=x,
+        indices=np.sum(tangential & (w < 0.0), axis=1),
+        residuals=_row_norms(sphere_force(x)),
     )
-
-
-def _mb_newton_system(p: np.ndarray):
-    """grad MB and hess MB per row, with the arithmetic of ``mb_gradient`` / ``mb_hessian``."""
-    dx = p[:, :1] - MB_X0
-    dy = p[:, 1:] - MB_Y0
-    e = MB_A * np.exp(MB_a * dx * dx + MB_b * dx * dy + MB_c * dy * dy)
-    gx = 2.0 * MB_a * dx + MB_b * dy
-    gy = MB_b * dx + 2.0 * MB_c * dy
-    # a 4-term np.sum adds in order, as the per-row sum over axis 1 does
-    grad = np.column_stack([np.sum(e * gx, axis=1), np.sum(e * gy, axis=1)])
-    hxx = np.sum(e * (gx * gx + 2.0 * MB_a), axis=1)
-    hxy = np.sum(e * (gx * gy + MB_b), axis=1)
-    hyy = np.sum(e * (gy * gy + 2.0 * MB_c), axis=1)
-    hess = np.stack([np.column_stack([hxx, hxy]), np.column_stack([hxy, hyy])], axis=1)
-    return grad, hess
 
 
 def _mb_newton(seeds: np.ndarray) -> np.ndarray:
     """Batched Newton on grad MB = 0 from (x, y) seeds: the rows kept."""
-    return _batched_newton(seeds, _mb_newton_system, tol=1e-13, radius=10.0, n_space=2)
+    return _batched_newton(seeds, lambda p: (mb_gradient(p), mb_hessian(p)),
+                           tol=1e-13, radius=10.0, n_space=2)
 
 
 def mb_surface_critical_points() -> CriticalPointReport:
@@ -462,18 +440,17 @@ def mb_surface_critical_points() -> CriticalPointReport:
     """
     xs, ys = np.meshgrid(np.linspace(-1.5, 1.0, 32), np.linspace(-0.5, 2.0, 32), indexing="ij")
     p = _mb_newton(np.column_stack([xs.ravel(), ys.ravel()]))
-    grad, _ = _mb_newton_system(p)
-    inside = ((_row_norms(grad) <= 1e-10)
+    inside = ((_row_norms(mb_gradient(p)) <= 1e-10)
               & (-1.6 <= p[:, 0]) & (p[:, 0] <= 1.1) & (-0.6 <= p[:, 1]) & (p[:, 1] <= 2.1))
-    found = [surface_lift(q) for q in _first_found(p[inside])]
-    if not found:
+    found = _first_found(p[inside])
+    if not len(found):
         raise RuntimeError("Newton found no Mueller-Brown critical points")
-    points = np.array(sorted(found, key=lambda p: (round(p[0], 9), round(p[1], 9))))
-    indices = np.array([
-        int(np.sum(np.linalg.eigvalsh(mb_hessian(p[:2])) < 0.0)) for p in points
-    ])
-    residuals = np.array([float(np.linalg.norm(mb_gradient(p[:2]))) for p in points])
-    return CriticalPointReport(points=points, indices=indices, residuals=residuals)
+    p = np.array(sorted(found, key=lambda q: (round(q[0], 9), round(q[1], 9))))
+    return CriticalPointReport(
+        points=surface_lift(p),
+        indices=np.sum(np.linalg.eigvalsh(mb_hessian(p)) < 0.0, axis=1),
+        residuals=_row_norms(mb_gradient(p)),
+    )
 
 
 def sphere_start_point(report: CriticalPointReport | None = None) -> np.ndarray:

@@ -67,6 +67,9 @@ class ProblemDefinition:
 
     ``force`` is the manifold-tangent negative gradient; ``project`` the
     closest-point projection used to keep samples on the manifold.
+    ``energy``, ``force`` and ``project`` accept one point (n,) or a stack of
+    rows (k, n); row i of a stacked result must equal, bit for bit, the result
+    at row i alone, since the cloud sampler evaluates a cloud in one call.
     ``exact_chart`` optionally provides a closed-form chart for oracle mode,
     with the four methods the search loop calls on a :class:`LocalChart`:
     ``to_chart``, ``evaluate``, ``outside`` and ``to_ambient``.
@@ -376,7 +379,8 @@ def run_search(
 
     The mode only picks where each iteration's chart comes from:
     ``mode='exact_chart'`` bypasses sampling and regression and runs the same
-    loop on the problem's closed-form chart (oracle mode).
+    loop on the problem's closed-form chart (oracle mode), where a degenerate
+    record ends the search as failed.
     """
     if mode not in ("learned_chart", "exact_chart"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -405,8 +409,12 @@ def run_search(
         records.append(record)
 
         u_end = record.chart_trajectory[-1]
-        if record.exit_reason == EXIT_DEGENERATE and not np.all(np.isfinite(u_end)):
-            continue  # resample around the previous base point
+        if record.exit_reason == EXIT_DEGENERATE:
+            if mode == "exact_chart":
+                verdict = VERDICT_FAILED  # the same chart would fail the same way again
+                break
+            if not np.all(np.isfinite(u_end)):
+                continue  # resample around the previous base point
         x = chart.to_ambient(problem, u_end)
 
         if record.exit_reason == EXIT_CONVERGED:

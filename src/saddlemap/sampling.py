@@ -1,9 +1,10 @@
 """Point-cloud generation around a base point and chart inversion by a tether.
 
-The cloud sampler perturbs the base point isotropically and projects each
-sample back onto the manifold. It is deterministic given the seed: walkers
-draw from counter-split generators, so a parallel run would produce the same
-cloud as the sequential one.
+The cloud sampler perturbs the base point isotropically and projects the
+samples back onto the manifold, all rows in one call of the problem's
+``project`` and then of its ``force``. It is deterministic given the seed:
+walkers draw from counter-split generators, so a parallel run would produce
+the same cloud as the sequential one.
 """
 from __future__ import annotations
 
@@ -60,22 +61,21 @@ class TetherConfig:
 
 
 def sample_cloud(problem, base: np.ndarray, cfg: SamplerConfig, seed: int) -> PointCloud:
-    """Perturb the base isotropically and project each sample onto the manifold.
+    """Perturb the base isotropically and project the samples onto the manifold.
 
-    Walker i draws from a generator seeded with (seed, i). Forces are
-    evaluated at the projected points.
+    Walker i draws from a generator seeded with (seed, i). The perturbed
+    points are projected in one ``problem.project`` call, and the forces at
+    the projected points come from one ``problem.force`` call.
     """
     base = np.asarray(base, dtype=float)
     residual = np.linalg.norm(problem.project(base) - base)
     if residual > 1e-8:
         raise ValueError(f"base point is off the manifold (projection residual {residual:.2e})")
-    points = np.empty((cfg.n_samples, base.shape[0]))
-    for i in range(cfg.n_samples):
-        rng = np.random.default_rng([seed, i])
-        q = base + cfg.perturbation_scale * rng.standard_normal(base.shape[0])
-        points[i] = problem.project(q)
-    forces = np.vstack([problem.force(p) for p in points])
-    return PointCloud(points=points, forces=forces, base_point=base)
+    draws = np.array([
+        np.random.default_rng([seed, i]).standard_normal(base.shape[0]) for i in range(cfg.n_samples)
+    ])
+    points = problem.project(base + cfg.perturbation_scale * draws)
+    return PointCloud(points=points, forces=problem.force(points), base_point=base)
 
 
 def invert_chart_via_tether(

@@ -32,15 +32,15 @@ class QuadraticSaddleChart:
 
 
 def quadratic_saddle_force(x):
-    """Force -grad U of U = x1^2 - x2^2."""
-    return np.array([-2.0 * x[0], 2.0 * x[1]])
+    """Force -grad U of U = x1^2 - x2^2, at a point or at each row."""
+    return np.stack([-2.0 * x[..., 0], 2.0 * x[..., 1]], axis=-1)
 
 
 def flat_problem(dim: int = 2, force=None) -> ProblemDefinition:
     """Unconstrained plane: identity projection, optional force field; the
     plane (dim 2) carries the quadratic saddle's chart as its exact chart."""
     if force is None:
-        force = lambda x: np.zeros(dim)
+        force = lambda x: np.zeros(np.shape(x))
     return ProblemDefinition(
         ambient_dim=dim,
         energy=lambda x: 0.0,

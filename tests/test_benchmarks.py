@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -306,6 +306,56 @@ class TestBatchedNewton:
             warnings.simplefilter("error")
             benchmarks.sphere_critical_points()
             benchmarks.mb_surface_critical_points()
+
+
+# each function against the rows it is defined on
+SPHERE_ROW_FUNCTIONS = [benchmarks.sphere_energy, benchmarks.sphere_energy_gradient,
+                        benchmarks.sphere_energy_hessian, benchmarks.sphere_project,
+                        benchmarks.sphere_force]
+PLANE_ROW_FUNCTIONS = [benchmarks.mb_potential, benchmarks.mb_gradient, benchmarks.mb_hessian,
+                       benchmarks.surface_height, benchmarks.surface_height_gradient,
+                       benchmarks.surface_lift]
+SURFACE_ROW_FUNCTIONS = [benchmarks.surface_project, benchmarks.surface_energy,
+                         benchmarks.surface_force]
+
+
+@st.composite
+def _sphere_rows(draw):
+    raw = draw(arrays(float, st.tuples(st.integers(1, 16), st.just(3)),
+                      elements=st.floats(-1.0, 1.0)))
+    assume(np.all(np.linalg.norm(raw, axis=1) > 1e-3))
+    return np.array([benchmarks.sphere_project(r) for r in raw])
+
+
+@st.composite
+def _mb_box_rows(draw):
+    unit = draw(arrays(float, st.tuples(st.integers(1, 16), st.just(2)),
+                       elements=st.floats(0.0, 1.0)))
+    return np.array([-1.6, -0.6]) + 2.7 * unit
+
+
+class TestRowsEqualPoints:
+    """Row i of a stacked evaluation is bit for bit the evaluation at row i."""
+
+    @staticmethod
+    def assert_rows_equal_points(functions, rows):
+        for f in functions:
+            stacked = f(rows)
+            assert len(stacked) == len(rows)
+            for i, row in enumerate(rows):
+                assert np.array_equal(stacked[i], f(row)), f.__name__
+
+    @settings(max_examples=40, deadline=None)
+    @given(_sphere_rows())
+    def test_sphere_functions(self, rows):
+        self.assert_rows_equal_points(SPHERE_ROW_FUNCTIONS, rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_mb_box_rows())
+    def test_surface_functions(self, plane):
+        self.assert_rows_equal_points(PLANE_ROW_FUNCTIONS, plane)
+        lifted = np.array([benchmarks.surface_lift(p) for p in plane])
+        self.assert_rows_equal_points(SURFACE_ROW_FUNCTIONS, lifted)
 
 
 class TestSurfaceEval:

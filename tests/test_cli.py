@@ -169,22 +169,22 @@ class TestRunCommand:
 
 class TestWriteOutputs:
     def test_record_degenerate_at_step_zero(self, tmp_path):
-        # a rank-deficient psi fails the first step of every chart; each
-        # record keeps one placeholder row, with NaN force norm and lambda_min
+        # a rank-deficient psi fails the first step of the exact chart; its
+        # one record keeps one placeholder row, with NaN force norm and lambda_min
         problem = dataclasses.replace(
             flat_problem(), exact_chart=QuadraticSaddleChart(psi=[[1.0, 0.0], [0.0, 0.0]])
         )
         cfg = DriverConfig(n_iterations_max=2, n_ode_steps=5)
         traj = run_search(problem, np.array([0.3, 0.2]), cfg, mode="exact_chart")
-        assert [r.exit_reason for r in traj.records] == ["degenerate", "degenerate"]
-        for rec in traj.records:
-            assert len(rec.step_force_norms) == len(rec.step_lambda_mins) == 1
+        assert [r.exit_reason for r in traj.records] == ["degenerate"]
+        rec = traj.records[0]
+        assert len(rec.step_force_norms) == len(rec.step_lambda_mins) == 1
         config = cli.RunConfig(problem="sphere", mode="exact_chart", driver=cfg,
                                output_dir=tmp_path / "out")
         report = SimpleNamespace(saddles=lambda: np.zeros((1, 2)))
         cli.write_outputs(config, problem, report, traj)
         rows = (tmp_path / "out" / "trajectory.csv").read_text().strip().split("\n")[1:]
-        assert [r.split(",")[:2] for r in rows] == [["1", "0"], ["2", "0"]]
+        assert [r.split(",")[:2] for r in rows] == [["1", "0"]]
         assert all(r.split(",")[-2:] == ["nan", "nan"] for r in rows)
 
 

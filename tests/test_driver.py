@@ -13,6 +13,7 @@ from saddlemap.driver import (
     EXIT_TRUST_REGION,
     MAX_TRIAL_POINTS,
     N_DMAP_COMPONENTS,
+    VERDICT_FAILED,
     VERDICT_SADDLE_FOUND,
     _derive_seed,
     _rank_chart_components,
@@ -325,6 +326,18 @@ class TestRunSearch:
         traj = run_search(problem, np.array([0.3, 0.2]), cfg, mode="exact_chart")
         assert traj.verdict == VERDICT_SADDLE_FOUND
         assert np.linalg.norm(traj.final_point) < 1e-3
+
+    def test_degenerate_exact_chart_fails_once(self):
+        # the exact chart and its restart point never change, so a chart that
+        # fails its first step ends the search at once instead of repeating
+        problem = dataclasses.replace(
+            flat_problem(), exact_chart=QuadraticSaddleChart(psi=[[1.0, 0.0], [0.0, 0.0]])
+        )
+        traj = run_search(problem, np.array([0.3, 0.2]), small_cfg(n_iterations_max=4),
+                          mode="exact_chart")
+        assert [r.exit_reason for r in traj.records] == ["degenerate"]
+        assert traj.verdict == VERDICT_FAILED
+        assert np.array_equal(traj.final_point, [0.3, 0.2])
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

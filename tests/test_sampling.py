@@ -16,6 +16,15 @@ SPHERE = benchmarks.sphere_problem()
 SINK = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)
 
 
+def _per_walker_cloud(problem, base, cfg, seed):
+    """The one-walker-at-a-time loop the batched sampler replaced: points, forces."""
+    points = np.empty((cfg.n_samples, base.shape[0]))
+    for i in range(cfg.n_samples):
+        rng = np.random.default_rng([seed, i])
+        points[i] = problem.project(base + cfg.perturbation_scale * rng.standard_normal(base.shape[0]))
+    return points, np.vstack([problem.force(p) for p in points])
+
+
 class TestFlowPerturbation:
     def test_zero_scale_zero_horizon_copies_base(self):
         cfg = SamplerConfig(n_samples=5, perturbation_scale=0.0, tau=0.0)
@@ -80,6 +89,20 @@ class TestTether:
             invert_chart_via_tether(problem, phi, tether, start=np.zeros(2), tol=1e-3)
         assert err.value.point is not None
         assert err.value.residual > 1e-3
+
+
+class TestBatchedCloud:
+    @pytest.mark.parametrize("seed", [0, 987654321])
+    @pytest.mark.parametrize("problem, base, scale", [
+        (SPHERE, SINK, 0.2),
+        (benchmarks.surface_problem(), benchmarks.surface_lift(np.array([0.62, 0.03])), 0.15),
+    ], ids=["sphere", "mb_surface"])
+    def test_matches_per_walker_loop(self, problem, base, scale, seed):
+        cfg = SamplerConfig(n_samples=500, perturbation_scale=scale)
+        cloud = sample_cloud(problem, base, cfg, seed)
+        points, forces = _per_walker_cloud(problem, base, cfg, seed)
+        assert np.array_equal(cloud.points, points)
+        assert np.array_equal(cloud.forces, forces)
 
 
 class TestWalkerSplitting:
