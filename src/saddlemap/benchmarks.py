@@ -75,9 +75,10 @@ class StereographicSphereChart:
 
     Chart map phi(x) = (x1, x2) / (1 - x3); everything downstream of the
     parameterization (metric, connection, gradient, Hessian) in the exact
-    algebraic form. Has the four chart methods the driver calls (``to_chart``,
-    ``evaluate``, ``outside``, ``to_ambient``), so it can run in oracle mode;
-    the chart covers all of the sphere but the North pole, so nothing is outside.
+    algebraic form. Has the three chart methods the driver calls (``to_chart``,
+    ``evaluate``, ``outside``), so it can run in oracle mode; the search hands
+    off by projecting ``evaluate``'s psi(u). The chart covers all of the
+    sphere but the North pole, so nothing is outside.
     """
 
     def phi(self, x: np.ndarray) -> np.ndarray:
@@ -88,9 +89,6 @@ class StereographicSphereChart:
 
     def outside(self, x: np.ndarray) -> bool:
         return False
-
-    def to_ambient(self, problem: ProblemDefinition, u: np.ndarray) -> np.ndarray:
-        return problem.project(self.psi(u))
 
     def psi(self, u: np.ndarray) -> np.ndarray:
         u1, u2 = u

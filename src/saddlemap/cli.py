@@ -291,6 +291,9 @@ def validate_geometry_command(n_points: int, seed: int, output: str | None) -> i
     if n_points < 0:
         print(f"--n must be at least 0, got {n_points}", file=sys.stderr)
         return 1
+    if seed < 0:
+        print(f"--seed must be at least 0, got {seed}", file=sys.stderr)
+        return 1
     result = validate_geometry(n_points, seed)
     text = json.dumps(result, indent=2, sort_keys=True)
     if output:

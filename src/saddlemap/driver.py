@@ -16,8 +16,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import regression
-# bandwidth_median_rule is not called here; perfbench/worker.py traces the
-# chart build by wrapping layer functions under their names in this module
+# bandwidth_median_rule and invert_chart_via_tether are not called here;
+# perfbench/worker.py traces the search by wrapping layer functions under
+# their names in this module
 from .dimred import (  # noqa: F401
     DiffusionMapResult,
     PointCloud,
@@ -26,22 +27,11 @@ from .dimred import (  # noqa: F401
     median_bandwidth,
     select_chart_components,
 )
-from .errors import (
-    ChartFitError,
-    DegenerateChartError,
-    NonFiniteEvaluationError,
-    TetherResidualError,
-)
+from .errors import ChartFitError, DegenerateChartError, NonFiniteEvaluationError
 from .geometry import GeometryField, isd_field, smallest_eigpair
 from .kernels import squared_distances
 from .regression import MAX_TRIAL_POINTS, RegressorModel, fit_with_nugget_selection
-from .sampling import (
-    SamplerConfig,
-    TetherConfig,
-    check_integer,
-    invert_chart_via_tether,
-    sample_cloud,
-)
+from .sampling import SamplerConfig, check_integer, invert_chart_via_tether, sample_cloud  # noqa: F401
 
 EXIT_CONVERGED = "converged"
 EXIT_TRUST_REGION = "trust_region"
@@ -71,8 +61,9 @@ class ProblemDefinition:
     rows (k, n); row i of a stacked result must equal, bit for bit, the result
     at row i alone, since the cloud sampler evaluates a cloud in one call.
     ``exact_chart`` optionally provides a closed-form chart for oracle mode,
-    with the four methods the search loop calls on a :class:`LocalChart`:
-    ``to_chart``, ``evaluate``, ``outside`` and ``to_ambient``.
+    with the three methods the search loop calls on a :class:`LocalChart`:
+    ``to_chart``, ``evaluate`` and ``outside``. The search hands a chart's
+    endpoint back through ``project`` alone.
     """
 
     ambient_dim: int
@@ -95,8 +86,9 @@ class DriverConfig:
         check_integer("n_iterations_max", self.n_iterations_max, 1)
         check_integer("n_ode_steps", self.n_ode_steps, 1)
         check_integer("seed", self.seed, 0)
-        if not all(np.isfinite(v) and v > 0 for v in (self.ode_dt, self.tol_force)):
-            raise ValueError("ode_dt and tol_force must be positive and finite")
+        values = (self.ode_dt, self.tol_force)
+        if any(isinstance(v, bool) or not (np.isfinite(v) and v > 0) for v in values):
+            raise ValueError("ode_dt and tol_force must be positive and finite numbers")
 
 
 @dataclass
@@ -121,16 +113,15 @@ class SearchTrajectory:
 class LocalChart(GeometryField):
     """A learned chart: the maps, the geometry over them, and the cloud.
 
-    The search loop calls four methods on a chart, and a problem's closed-form
-    ``exact_chart`` has the same four: ``to_chart`` (phi), ``evaluate`` (from
-    GeometryField), ``outside`` and ``to_ambient``. The trust radius is
+    The search loop calls three methods on a chart, and a problem's
+    closed-form ``exact_chart`` has the same three: ``to_chart`` (phi),
+    ``evaluate`` (from GeometryField) and ``outside``. The trust radius is
     ``TRUST_FACTOR`` median nearest-neighbour spacings of the cloud.
     """
 
-    def __init__(self, phi, psi, chart_force, chart_samples: np.ndarray, cloud: PointCloud):
+    def __init__(self, phi, psi, chart_force, cloud: PointCloud):
         super().__init__(psi, chart_force)
         self.phi = phi
-        self.chart_samples = chart_samples  # (N, d) diffusion coordinates of the cloud
         self.cloud = cloud
         self.tree = cKDTree(cloud.points)
         nn = self.tree.query(cloud.points, k=2)[0][:, 1]
@@ -142,28 +133,6 @@ class LocalChart(GeometryField):
     def outside(self, x: np.ndarray) -> bool:
         """Whether ambient ``x`` lies beyond the trust radius of every cloud point."""
         return float(self.tree.query(x)[0]) > self.trust_radius
-
-    def to_ambient(self, problem, u: np.ndarray) -> np.ndarray:
-        """Map a chart endpoint back to the manifold, preferring psi.
-
-        Falls back to the chart-inversion tether when the phi(psi(u)) round
-        trip misses by more than a tenth of the chart diameter.
-        """
-        tol = 0.1 * float(np.linalg.norm(np.ptp(self.chart_samples, axis=0)))
-        x_direct = problem.project(self.psi.predict(u))
-        roundtrip = float(np.linalg.norm(self.phi.predict(x_direct) - u))
-        if roundtrip > tol:
-            _, jac, _ = self.phi.predict_with_derivatives(x_direct, order=1)
-            scale = max(float(np.linalg.norm(jac, 2)) ** 2, 1e-12)
-            tether = TetherConfig(
-                kappa=1.0, target_phi=u, dt=min(0.5 / scale, 1e3), burn_in=150, n_average=50
-            )
-            try:
-                x_tether = invert_chart_via_tether(problem, self.phi, tether, start=x_direct, tol=tol)
-            except (TetherResidualError, NonFiniteEvaluationError):
-                return x_direct  # keep the direct inverse-map estimate
-            return problem.project(x_tether)
-        return x_direct
 
 
 def _derive_seed(*entropy) -> int:
@@ -285,7 +254,7 @@ def build_local_chart(
     psi_kernel = regression.gaussian_kernel(chart_samples, chart_samples, eps_chart, sq=sq_chart)
     rng_psi = np.random.default_rng([cfg.seed, iteration, attempt, 3])
     psi, _ = fit_with_nugget_selection(chart_samples, points, eps_chart, rng_psi, psi_kernel, {})
-    return LocalChart(phi, psi, chart_force, chart_samples, cloud)
+    return LocalChart(phi, psi, chart_force, cloud)
 
 
 def check_convergence(force_norm: float, spectrum: np.ndarray, cfg: DriverConfig) -> bool:
@@ -380,7 +349,10 @@ def run_search(
     The mode only picks where each iteration's chart comes from:
     ``mode='exact_chart'`` bypasses sampling and regression and runs the same
     loop on the problem's closed-form chart (oracle mode), where a degenerate
-    record ends the search as failed.
+    record ends the search as failed. Each chart hands off by projecting psi
+    at its last step, the record's last ambient point; a learned chart that
+    failed its first step leaves only a NaN placeholder there, and the next
+    chart is learned around the same point.
     """
     if mode not in ("learned_chart", "exact_chart"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -408,14 +380,13 @@ def run_search(
         )
         records.append(record)
 
-        u_end = record.chart_trajectory[-1]
-        if record.exit_reason == EXIT_DEGENERATE:
-            if mode == "exact_chart":
-                verdict = VERDICT_FAILED  # the same chart would fail the same way again
-                break
-            if not np.all(np.isfinite(u_end)):
-                continue  # resample around the previous base point
-        x = chart.to_ambient(problem, u_end)
+        if record.exit_reason == EXIT_DEGENERATE and mode == "exact_chart":
+            verdict = VERDICT_FAILED  # the same chart would fail the same way again
+            break
+        x_end = record.ambient_trajectory[-1]
+        if not np.all(np.isfinite(x_end)):
+            continue  # the chart failed its first step: relearn around the same x
+        x = problem.project(x_end)
 
         if record.exit_reason == EXIT_CONVERGED:
             # accept only when the ambient force confirms the chart-level

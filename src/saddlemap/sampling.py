@@ -35,8 +35,9 @@ class SamplerConfig:
 
     def __post_init__(self):
         check_integer("n_samples", self.n_samples, 2)
-        if not (np.isfinite(self.perturbation_scale) and self.perturbation_scale >= 0):
-            raise ValueError("perturbation_scale must be nonnegative and finite")
+        scale = self.perturbation_scale
+        if isinstance(scale, bool) or not (np.isfinite(scale) and scale >= 0):
+            raise ValueError("perturbation_scale must be a nonnegative finite number")
         if self.tau != 0.0:
             raise ValueError(f"the sampler has no flow horizon: tau must be 0, got {self.tau!r}")
         if self.method != "flow":

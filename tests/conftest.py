@@ -10,7 +10,7 @@ from saddlemap.geometry import GeometryField
 class QuadraticSaddleChart:
     """Exact identity chart of U = u1^2 - u2^2 on the flat plane.
 
-    It has only the four methods the search loop may call on a chart.
+    It has only the three methods the search loop may call on a chart.
     ``psi`` is the matrix of its linear parameterization; a singular one
     makes every ``evaluate`` raise DegenerateChartError.
     """
@@ -26,9 +26,6 @@ class QuadraticSaddleChart:
 
     def outside(self, x):
         return False
-
-    def to_ambient(self, problem, u):
-        return problem.project(u)
 
 
 def quadratic_saddle_force(x):

@@ -157,9 +157,13 @@ class TestRunCommand:
         {"sampler": {"perturbation_scale": float("nan")}},
         {"sampler": {"perturbation_scale": float("inf")}},
         {"sampler": {"perturbation_scale": float("-inf")}},
+        {"ode_dt": True},
+        {"tol_force": True},
+        {"sampler": {"perturbation_scale": True}},
     ], ids=["fractional_steps", "fractional_iterations", "fractional_samples", "negative_seed",
             "nan_dt", "inf_dt", "nan_tol_force", "inf_tol_force", "nan_perturbation_scale",
-            "inf_perturbation_scale", "neg_inf_perturbation_scale"])
+            "inf_perturbation_scale", "neg_inf_perturbation_scale", "bool_dt", "bool_tol_force",
+            "bool_perturbation_scale"])
     def test_fractional_count_or_negative_seed_rejected(self, tmp_path, capsys, driver):
         raw = {"problem": "sphere", "output_dir": str(tmp_path / "out"), "driver": driver}
         assert self.run_raw(tmp_path, raw) == 1
@@ -231,6 +235,12 @@ class TestValidateGeometry:
         report_path = tmp_path / "report.json"
         assert cli.main(["validate-geometry", "--n", "-3", "--output", str(report_path)]) == 1
         assert "--n" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        assert cli.main(["validate-geometry", "--seed", "-1", "--output", str(report_path)]) == 1
+        assert "--seed" in capsys.readouterr().err
         assert not report_path.exists()
 
 

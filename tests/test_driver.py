@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from saddlemap import benchmarks, regression
+from saddlemap import benchmarks, driver, regression
 from saddlemap.dimred import diffusion_maps, median_bandwidth, select_chart_components
 from saddlemap.driver import (
     DriverConfig,
@@ -94,7 +94,7 @@ class TestBuildLocalChart:
     def test_sphere_chart_dimension(self):
         base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
         local = build_local_chart(SPHERE, base, small_cfg())
-        assert local.chart_samples.shape[1] == 2
+        assert local.psi.train_inputs.shape[1] == 2
         assert local.cloud.size == 500
         assert local.trust_radius > 0.0
 
@@ -102,8 +102,8 @@ class TestBuildLocalChart:
         base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
         local = build_local_chart(SPHERE, base, small_cfg())
         pred = local.phi.predict_batch(local.cloud.points)
-        err = np.max(np.abs(pred - local.chart_samples))
-        scale = np.max(np.abs(local.chart_samples))
+        err = np.max(np.abs(pred - local.psi.train_inputs))
+        scale = np.max(np.abs(local.psi.train_inputs))
         assert err < 1e-3 * scale
 
     def test_pushforward_matches_exact_chart(self):
@@ -268,20 +268,25 @@ class TestRunSearch:
         assert traj.verdict == VERDICT_SADDLE_FOUND
         assert len(calls) == 1
 
-    def test_direct_handoff_projects_once(self):
-        base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
-        local = build_local_chart(SPHERE, base, small_cfg())
-        calls = []
+    def test_handoff_projects_the_last_ambient_point(self):
+        # the next base point is project(psi(u_end)), read from the record
+        cfg = small_cfg(n_iterations_max=1, n_ode_steps=100)
+        start = benchmarks.sphere_project(np.array([0.9, 0.9, -1.2]))
+        traj = run_search(SPHERE, start, cfg)
+        assert len(traj.records) == 1
+        assert np.array_equal(traj.final_point,
+                              SPHERE.project(traj.records[0].ambient_trajectory[-1]))
 
-        def counting_project(x):
-            calls.append(x)
-            return SPHERE.project(x)
-
-        problem = dataclasses.replace(SPHERE, project=counting_project)
-        u_end = local.to_chart(base)
-        x = local.to_ambient(problem, u_end)
-        assert len(calls) == 1
-        assert np.linalg.norm(x - base) < 1e-2
+    def test_learned_chart_failing_first_step_keeps_base(self, monkeypatch):
+        # a chart that fails its first step leaves a NaN placeholder as its
+        # ambient point; the search relearns around the same base point and
+        # never projects the placeholder
+        monkeypatch.setattr(driver, "build_local_chart",
+                            lambda *args: QuadraticSaddleChart(psi=[[1.0, 0.0], [0.0, 0.0]]))
+        start = np.array([0.3, 0.2])
+        traj = run_search(flat_problem(), start, small_cfg(n_iterations_max=2))
+        assert [r.exit_reason for r in traj.records] == ["degenerate", "degenerate"]
+        assert np.array_equal(traj.final_point, start)  # finite: NaN equals nothing
 
     def test_all_recorded_points_on_manifold(self):
         cfg = small_cfg(n_iterations_max=2, n_ode_steps=100)
@@ -318,9 +323,9 @@ class TestRunSearch:
         e1 = SPHERE.energy(rec.ambient_trajectory[-1])
         assert e1 > e0
 
-    def test_exact_chart_needs_only_the_four_methods(self):
-        # the plane's exact chart has only to_chart, evaluate, outside and
-        # to_ambient; the reflected field -2u drives (0.3, 0.2) to the origin
+    def test_exact_chart_needs_only_the_three_methods(self):
+        # the plane's exact chart has only to_chart, evaluate and outside;
+        # the reflected field -2u drives (0.3, 0.2) to the origin
         problem = flat_problem(force=quadratic_saddle_force)
         cfg = small_cfg(n_iterations_max=1, n_ode_steps=1000, ode_dt=1e-2, tol_force=1e-3)
         traj = run_search(problem, np.array([0.3, 0.2]), cfg, mode="exact_chart")

@@ -71,3 +71,14 @@ def test_exact_chart_search_records_calls(monkeypatch):
     spans = traced_spans(monkeypatch, "exact_chart")
     for name in ("driver.integrate", "geometry.eigpair"):
         assert spans[name]["calls"] >= 1, name
+
+
+def test_layers_the_search_never_reaches_record_no_calls(monkeypatch):
+    # the tracer wraps names the search no longer calls: the single-quantity
+    # GeometryField views, driver's bandwidth_median_rule import and the
+    # tether. These are the names ROADMAP item 1's benchmark-only change
+    # stops wrapping, after which src/ can delete them
+    for mode in ("learned_chart", "exact_chart"):
+        spans = traced_spans(monkeypatch, mode)
+        for name in ("geometry.eval", "dimred.bandwidth", "sampling.tether"):
+            assert spans[name]["calls"] == 0, (mode, name)
