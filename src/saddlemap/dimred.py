@@ -12,15 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import DegenerateChartError
 from .kernels import gaussian_kernel, squared_distances
 
-# Dense eigendecomposition below this size; Lanczos with a fixed start
-# vector above it (determinism requires pinning v0).
-_DENSE_EIG_MAX = 1500
 # rows per block when scaling an N x N matrix by an outer product in place
 _ROW_BLOCK = 512
 # a singular value counts toward a Jacobian's numerical rank above this
@@ -125,7 +121,9 @@ def diffusion_maps(
     """Density-normalized diffusion-map embedding.
 
     Pipeline: Gaussian kernel K -> alpha=1 density normalization -> Markov
-    operator, eigendecomposed through its symmetric conjugate. Eigenvectors
+    operator, whose ``n_components + 1`` leading eigenpairs come from a
+    Lanczos solve (ARPACK, which needs ``n_components + 1 < N``) of its
+    symmetric conjugate from the fixed start vector 1/sqrt(N). Eigenvectors
     are scaled to ||psi||_2 = sqrt(N) (entries O(1) independent of N) with a
     permutation-covariant sign convention, and the embedding uses diffusion
     time 1: coordinate i = lambda_i * psi_i.
@@ -137,23 +135,18 @@ def diffusion_maps(
     n = points.shape[0]
     if eps <= 0:
         raise ValueError(f"bandwidth must be positive, got {eps}")
-    if not 0 < n_components < n:
-        raise ValueError(f"need 0 < n_components < N, got {n_components} of {n}")
+    if not 0 < n_components < n - 1:
+        raise ValueError(f"need 0 < n_components < N - 1, got {n_components} of {n}")
 
     kernel = gaussian_kernel(points, points, eps, sq=sq)
     sym, d_isqrt = markov_conjugate(kernel)
 
     k_eig = n_components + 1
-    if n <= _DENSE_EIG_MAX:
-        w, phi = scipy.linalg.eigh(sym)
-        w = w[::-1][:k_eig]
-        phi = phi[:, ::-1][:, :k_eig]
-    else:
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        w, phi = scipy.sparse.linalg.eigsh(sym, k=k_eig, which="LA", v0=v0)
-        order = np.argsort(w)[::-1]
-        w = w[order]
-        phi = phi[:, order]
+    v0 = np.full(n, 1.0 / np.sqrt(n))
+    w, phi = scipy.sparse.linalg.eigsh(sym, k=k_eig, which="LA", v0=v0)
+    order = np.argsort(w)[::-1]
+    w = w[order]
+    phi = phi[:, order]
 
     psi = phi * d_isqrt[:, None]
     # scale to ||psi||_2 = sqrt(N) and fix signs by the largest-|entry| component

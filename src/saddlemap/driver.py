@@ -207,10 +207,12 @@ def _fit_chart_map_and_force(
     this frame.
     """
     points = cloud.points
-    n = cloud.size
+    # the Lanczos solve needs n_components + 1 < N
+    n_components = min(N_DMAP_COMPONENTS, cloud.size - 2)
+    if n_components < 1:
+        raise DegenerateChartError(f"a cloud of {cloud.size} points has no diffusion coordinates")
     sq = squared_distances(points, points)
     eps = _median_bandwidth(sq)
-    n_components = min(N_DMAP_COMPONENTS, n - 1)
     dmap = diffusion_maps(points, eps, n_components, sq=sq)
     components = _rank_chart_components(points, dmap, eps)
 

@@ -186,6 +186,7 @@ def fit_with_nugget_selection(
     ``factors`` maps a nugget to the Cholesky factor of this kernel's full
     system; the caller creates one dict beside each kernel and passes it to
     every fit on that kernel, so fits of different targets factor it once.
+    A trial whose held-out R^2 is undefined (a constant target missed) fails.
     Raises ChartFitError when no nugget on the ladder reaches the target.
     """
     n = inputs.shape[0]
@@ -202,7 +203,11 @@ def fit_with_nugget_selection(
         except ChartFitError:
             continue
         # sliced after the trial fit, so it never sits beside the trial factor
-        r2 = r_squared(kernel[np.ix_(te, tr)] @ model.weights, targets[te])
+        pred = kernel[np.ix_(te, tr)] @ model.weights
+        try:
+            r2 = r_squared(pred, targets[te])
+        except ValueError:
+            continue
         if r2 >= R2_TARGET:
             break
     else:

@@ -36,8 +36,8 @@ class SamplerConfig:
     def __post_init__(self):
         check_integer("n_samples", self.n_samples, 2)
         scale = self.perturbation_scale
-        if isinstance(scale, bool) or not (np.isfinite(scale) and scale >= 0):
-            raise ValueError("perturbation_scale must be a nonnegative finite number")
+        if isinstance(scale, bool) or not (np.isfinite(scale) and scale > 0):
+            raise ValueError("perturbation_scale must be a positive finite number")
         if self.tau != 0.0:
             raise ValueError(f"the sampler has no flow horizon: tau must be 0, got {self.tau!r}")
         if self.method != "flow":

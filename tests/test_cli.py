@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -82,12 +83,16 @@ class TestRunCommand:
         code = cli.main(["run", str(write_config(tmp_path, problem="mb_surface", mode="exact_chart"))])
         assert code == 1
 
-    def test_collapsed_cloud_fails_with_outputs(self, tmp_path):
-        # a zero perturbation scale samples every point at the base point:
-        # no chart can be built, and the search ends failed, not in a traceback
+    @pytest.mark.parametrize("n_samples", [2, 3, 5, 9])
+    def test_small_cloud_fails_with_outputs(self, tmp_path, n_samples):
+        # too few points for a held-out R^2 or a diffusion map: no chart can
+        # be built, and the search ends failed, not in a traceback or a warning
         raw = {"problem": "sphere", "output_dir": str(tmp_path / "out"),
-               "driver": {"n_iterations_max": 1, "sampler": {"n_samples": 50, "perturbation_scale": 0}}}
-        assert self.run_raw(tmp_path, raw) == 1
+               "driver": {"n_iterations_max": 1, "sampler": {"n_samples": n_samples}}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run_raw(tmp_path, raw) == 1
+        assert [str(w.message) for w in caught] == []
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["verdict"] == "failed"
         assert summary["iterations"] == 0
@@ -144,7 +149,8 @@ class TestRunCommand:
         with pytest.raises(ValueError, match="n_ode_steps"):
             cli.load_run_config(path)
 
-    # json.load accepts NaN and Infinity, which pass a plain <= 0 test
+    # json.load accepts NaN and Infinity, which pass a plain <= 0 test; a
+    # zero perturbation scale would sample every point at the base
     @pytest.mark.parametrize("driver", [
         {"n_ode_steps": 50.5},
         {"n_iterations_max": 1.5},
@@ -160,10 +166,11 @@ class TestRunCommand:
         {"ode_dt": True},
         {"tol_force": True},
         {"sampler": {"perturbation_scale": True}},
+        {"sampler": {"perturbation_scale": 0}},
     ], ids=["fractional_steps", "fractional_iterations", "fractional_samples", "negative_seed",
             "nan_dt", "inf_dt", "nan_tol_force", "inf_tol_force", "nan_perturbation_scale",
             "inf_perturbation_scale", "neg_inf_perturbation_scale", "bool_dt", "bool_tol_force",
-            "bool_perturbation_scale"])
+            "bool_perturbation_scale", "zero_perturbation_scale"])
     def test_fractional_count_or_negative_seed_rejected(self, tmp_path, capsys, driver):
         raw = {"problem": "sphere", "output_dir": str(tmp_path / "out"), "driver": driver}
         assert self.run_raw(tmp_path, raw) == 1

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
+from saddlemap import benchmarks
 from saddlemap.dimred import (
     PointCloud,
     bandwidth_median_rule,
@@ -13,9 +15,11 @@ from saddlemap.dimred import (
     median_bandwidth,
     select_chart_components,
 )
+from saddlemap.driver import N_DMAP_COMPONENTS
 from saddlemap.errors import DegenerateChartError
 from saddlemap.kernels import gaussian_kernel, squared_distances
 from saddlemap.regression import fit
+from saddlemap.sampling import SamplerConfig, sample_cloud
 
 
 def circle_points(n, radius=1.0):
@@ -179,8 +183,28 @@ class TestDiffusionMaps:
         pts = rng.standard_normal((10, 2))
         with pytest.raises(ValueError):
             diffusion_maps(pts, -1.0, 2)
-        with pytest.raises(ValueError):
-            diffusion_maps(pts, 1.0, 10)
+        # ARPACK's Lanczos solve needs n_components + 1 < N
+        for n_components in (9, 10):
+            with pytest.raises(ValueError):
+                diffusion_maps(pts, 1.0, n_components)
+
+    def test_lanczos_matches_dense_reference(self):
+        # a sphere_learned-sized cloud: the Lanczos pairs against a dense
+        # eigh of the same conjugate, normalized and signed the same way
+        cfg = SamplerConfig(n_samples=1000, perturbation_scale=0.15)
+        pts = sample_cloud(benchmarks.sphere_problem(), benchmarks.sphere_search_start(), cfg, 0).points
+        eps = bandwidth_median_rule(pts)
+        dmap = diffusion_maps(pts, eps, N_DMAP_COMPONENTS)
+
+        sym, d_isqrt = markov_conjugate(gaussian_kernel(pts, pts, eps))
+        w, phi = scipy.linalg.eigh(sym)
+        k = N_DMAP_COMPONENTS + 1
+        w, phi = w[::-1][:k], phi[:, ::-1][:, :k]
+        psi = phi * d_isqrt[:, None]
+        psi *= np.sqrt(len(pts)) / np.linalg.norm(psi, axis=0)
+        psi *= np.sign(psi[np.argmax(np.abs(psi), axis=0), np.arange(k)])
+        assert np.max(np.abs(dmap.eigenvalues - w)) < 1e-12
+        assert np.max(np.abs(dmap.coordinates - psi[:, 1:] * w[1:])) < 1e-12
 
 
 def fitted_jacobians(points, dmap, n_eval=25, nugget=1e-6):

@@ -6,6 +6,7 @@ import pytest
 
 from saddlemap import benchmarks, driver, regression
 from saddlemap.dimred import diffusion_maps, median_bandwidth, select_chart_components
+from saddlemap.errors import DegenerateChartError
 from saddlemap.driver import (
     DriverConfig,
     EXIT_CONVERGED,
@@ -129,6 +130,17 @@ class TestBuildLocalChart:
         err = np.linalg.norm(back - pts, axis=1)
         diam = np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1)) * 2.0
         assert np.mean(err < 0.05 * diam) >= 0.95
+
+    def test_collapsed_cloud_is_degenerate(self):
+        # a nonzero scale can still project every sample onto the base point;
+        # the bandwidth check then refuses the chart
+        base = np.array([0.3, -0.2])
+        problem = dataclasses.replace(
+            flat_problem(), project=lambda x: np.broadcast_to(base, np.shape(x)).copy()
+        )
+        cfg = small_cfg(sampler=SamplerConfig(n_samples=50, perturbation_scale=0.1))
+        with pytest.raises(DegenerateChartError, match="collapsed"):
+            build_local_chart(problem, base, cfg)
 
 
 def mb_chart_cfg(n: int, seed: int = 0) -> DriverConfig:

@@ -26,10 +26,10 @@ def _per_walker_cloud(problem, base, cfg, seed):
 
 
 class TestFlowPerturbation:
-    def test_zero_scale_zero_horizon_copies_base(self):
-        cfg = SamplerConfig(n_samples=5, perturbation_scale=0.0, tau=0.0)
-        cloud = sample_cloud(SPHERE, SINK, cfg, seed=1)
-        assert np.allclose(cloud.points, SINK[None, :], atol=1e-14)
+    def test_zero_scale_rejected(self):
+        # every sample would be the base point, and no chart comes from that
+        with pytest.raises(ValueError, match="perturbation_scale"):
+            SamplerConfig(n_samples=5, perturbation_scale=0.0)
 
     def test_points_stay_on_sphere(self):
         cfg = SamplerConfig(n_samples=200, perturbation_scale=0.3, tau=0.0)
