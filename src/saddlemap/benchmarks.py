@@ -12,6 +12,7 @@ pipeline is validated against.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +77,9 @@ class StereographicSphereChart:
     Chart map phi(x) = (x1, x2) / (1 - x3); everything downstream of the
     parameterization (metric, connection, gradient, Hessian) in the exact
     algebraic form. Has the three chart methods the driver calls (``to_chart``,
-    ``evaluate``, ``outside``), so it can run in oracle mode; the search hands
+    ``evaluate``, ``clearance``), so it can run in oracle mode; the search hands
     off by projecting ``evaluate``'s psi(u). The chart covers all of the
-    sphere but the North pole, so nothing is outside.
+    sphere but the North pole, so every point has infinite clearance.
     """
 
     def phi(self, x: np.ndarray) -> np.ndarray:
@@ -87,8 +88,8 @@ class StereographicSphereChart:
 
     to_chart = phi
 
-    def outside(self, x: np.ndarray) -> bool:
-        return False
+    def clearance(self, x: np.ndarray) -> float:
+        return math.inf
 
     def psi(self, u: np.ndarray) -> np.ndarray:
         u1, u2 = u

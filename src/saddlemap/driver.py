@@ -9,6 +9,8 @@ endpoint back to ambient space and start over.
 from __future__ import annotations
 
 import dataclasses
+import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,6 +44,8 @@ VERDICT_SADDLE_FOUND = "saddle_found"
 VERDICT_MAX_ITERATIONS = "max_iterations"
 VERDICT_FAILED = "failed"
 
+logger = logging.getLogger("saddlemap")
+
 # trust radius of a learned chart, in median nearest-neighbour spacings of
 # its cloud
 TRUST_FACTOR = 3.0
@@ -62,7 +66,7 @@ class ProblemDefinition:
     at row i alone, since the cloud sampler evaluates a cloud in one call.
     ``exact_chart`` optionally provides a closed-form chart for oracle mode,
     with the three methods the search loop calls on a :class:`LocalChart`:
-    ``to_chart``, ``evaluate`` and ``outside``. The search hands a chart's
+    ``to_chart``, ``evaluate`` and ``clearance``. The search hands a chart's
     endpoint back through ``project`` alone.
     """
 
@@ -115,7 +119,7 @@ class LocalChart(GeometryField):
 
     The search loop calls three methods on a chart, and a problem's
     closed-form ``exact_chart`` has the same three: ``to_chart`` (phi),
-    ``evaluate`` (from GeometryField) and ``outside``. The trust radius is
+    ``evaluate`` (from GeometryField) and ``clearance``. The trust radius is
     ``TRUST_FACTOR`` median nearest-neighbour spacings of the cloud.
     """
 
@@ -130,9 +134,10 @@ class LocalChart(GeometryField):
     def to_chart(self, x: np.ndarray) -> np.ndarray:
         return self.phi.predict(x)
 
-    def outside(self, x: np.ndarray) -> bool:
-        """Whether ambient ``x`` lies beyond the trust radius of every cloud point."""
-        return float(self.tree.query(x)[0]) > self.trust_radius
+    def clearance(self, x: np.ndarray) -> float:
+        """Trust radius minus the distance from ambient ``x`` to the cloud;
+        negative once ``x`` lies beyond the trust radius of every cloud point."""
+        return self.trust_radius - float(self.tree.query(x)[0])
 
 
 def _derive_seed(*entropy) -> int:
@@ -276,9 +281,19 @@ def integrate_isd_on_chart(
 
     ``chart`` is a :class:`LocalChart` or a problem's exact chart; its
     ``evaluate`` is called once per step. Stops on the index-1 convergence
-    certificate, when ``chart.outside`` reports that psi(u) has left the
-    trusted region, or on the step budget. Geometry failures mid-trajectory
-    close the record with exit reason 'degenerate'.
+    certificate, when ``chart.clearance`` turns negative (psi(u) has left
+    the trusted region), or on the step budget. Geometry failures
+    mid-trajectory close the record with exit reason 'degenerate'.
+
+    The distance to the cloud is 1-Lipschitz, so psi(u) closer to the point
+    of the last clearance query than that query's clearance is inside, and
+    ``chart.clearance`` is called only when this cached clearance cannot
+    decide. The factor 1 - 1e-9 covers the rounding of the two distances (a
+    few ulps of the trust radius) while the anchor's clearance exceeds ~1e-6
+    trust radii; nearer the edge, a cached decision could differ from a query
+    only for a point within rounding of the trust radius. The anchor lives
+    here, not on the chart: an exact chart is one object shared by every
+    iteration.
     """
     u = np.asarray(u0, dtype=float)
     record = IterationRecord(
@@ -289,6 +304,7 @@ def integrate_isd_on_chart(
         exit_reason=EXIT_STEP_BUDGET,
     )
     prev_v = None
+    anchor, anchor_clearance = None, 0.0
     for step in range(cfg.n_ode_steps + 1):
         try:
             if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e8:
@@ -310,12 +326,11 @@ def integrate_isd_on_chart(
         if check_convergence(force_norm, spectrum, cfg):
             record.exit_reason = EXIT_CONVERGED
             break
-        if chart.outside(x_amb):
-            if step == 0:
-                record.exit_reason = EXIT_DEGENERATE
-            else:
-                record.exit_reason = EXIT_TRUST_REGION
-            break
+        if anchor is None or not math.dist(x_amb, anchor) < anchor_clearance * (1.0 - 1e-9):
+            anchor, anchor_clearance = x_amb, chart.clearance(x_amb)
+            if anchor_clearance < 0.0:
+                record.exit_reason = EXIT_DEGENERATE if step == 0 else EXIT_TRUST_REGION
+                break
         if step == cfg.n_ode_steps:
             record.exit_reason = EXIT_STEP_BUDGET
             break
@@ -331,12 +346,16 @@ def integrate_isd_on_chart(
 
 
 def _learn_chart(problem, x: np.ndarray, cfg: DriverConfig, iteration: int):
-    """A chart built around ``x``, resampled at most three times; None if none holds."""
+    """A chart built around ``x``, resampled at most three times; None if none holds.
+
+    Each rejected attempt is logged at INFO on the ``saddlemap`` logger.
+    """
     for attempt in range(3):
         try:
             return build_local_chart(problem, x, cfg, iteration, attempt)
-        except (DegenerateChartError, ChartFitError):
-            continue
+        except (DegenerateChartError, ChartFitError) as exc:
+            logger.info("iteration %d: chart attempt %d rejected: %s: %s",
+                        iteration, attempt, type(exc).__name__, exc)
     return None
 
 

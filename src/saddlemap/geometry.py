@@ -16,11 +16,12 @@ Index conventions
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dsygvd
 
 from .errors import DegenerateChartError, NonFiniteEvaluationError
 
@@ -193,14 +194,20 @@ def smallest_eigpair(
     g-inner product with ``prev_v`` (continuity across integration steps);
     without a previous direction the first component of significant
     magnitude is made positive.
+
+    Calls LAPACK's dsygvd directly, the routine ``scipy.linalg.eigh(h, g.g)``
+    runs, without eigh's argument checks. Raises DegenerateChartError when
+    dsygvd fails (info > n: g is not positive definite; 0 < info <= n: no
+    convergence) and NonFiniteEvaluationError on a non-finite eigenvalue.
     """
-    try:
-        w, vecs = scipy.linalg.eigh(h, g.g)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - scipy internal failure
-        raise DegenerateChartError(f"generalized eigensolve failed: {exc}") from exc
+    w, vecs, info = dsygvd(h, g.g, itype=1, jobz="V", uplo="L")
+    if info != 0:
+        raise DegenerateChartError(f"generalized eigensolve failed, dsygvd info {info}")
+    if not math.isfinite(w[0]):
+        raise NonFiniteEvaluationError("non-finite generalized eigenvalue")
     v = vecs[:, 0]
-    # scipy returns B-orthonormal eigenvectors, i.e. already g(v, v) = 1;
-    # renormalize anyway to pin the contract.
+    # dsygvd (itype=1) returns g-orthonormal eigenvectors, i.e. already
+    # g(v, v) = 1; renormalize anyway to pin the contract.
     v = v / np.sqrt(g.inner(v, v))
     if prev_v is not None:
         if g.inner(v, np.asarray(prev_v, dtype=float)) < 0.0:
@@ -220,9 +227,10 @@ def isd_field(x_force: Vector, v: Vector, g: MetricTensor) -> Vector:
     """
     x_force = _as_vector(x_force)
     v = _as_vector(v)
-    if abs(g.inner(v, v) - 1.0) > 1e-8:
+    vg = v @ g.g  # one product serves g(V, V) and g(V, X), rounded as g.inner rounds
+    if abs(float(vg @ v) - 1.0) > 1e-8:
         raise ValueError("soft-mode direction must be g-normalized")
-    return x_force - 2.0 * g.inner(v, x_force) * v
+    return x_force - 2.0 * float(vg @ x_force) * v
 
 
 @dataclass(frozen=True)

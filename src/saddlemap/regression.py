@@ -30,7 +30,7 @@ HOLDOUT_FRACTION = 0.2
 class RegressorModel:
     """Fitted kernel regressor mapping R^p -> R^q."""
 
-    train_inputs: np.ndarray   # (N, p)
+    train_inputs: np.ndarray   # (N, p), column-major
     bandwidth_eps: float
     nugget: float
     weights: np.ndarray        # (N, q), solution of (K + nugget I) w = targets
@@ -107,8 +107,13 @@ def fit(
     if factorization is None:
         factorization = kernel_factorization(kernel, nugget)
     weights = scipy.linalg.cho_solve(factorization, targets)
+    # column-major: predict_with_derivatives sums diff * diff over p down
+    # contiguous columns instead of along short rows, in the same order. The
+    # values and, for q >= 2 outputs, the derivatives equal those of C-ordered
+    # inputs bit for bit; a single-output Jacobian is a BLAS matrix-vector
+    # product whose accumulation follows the layout, equal only to rounding
     return RegressorModel(
-        train_inputs=inputs,
+        train_inputs=np.asfortranarray(inputs),
         bandwidth_eps=float(eps),
         nugget=float(nugget),
         weights=weights,
@@ -118,11 +123,15 @@ def fit(
 def kernel_factorization(kernel: np.ndarray, nugget: float):
     """Cholesky factorization of (K + nugget I), reusable across targets.
 
-    The factor overwrites one Fortran-order copy of K with the nugget added
-    to its diagonal. Off the diagonal k + 0 = k, so the factor equals that of
-    ``K + nugget * np.eye(n)`` bit for bit.
+    ``kernel`` must equal its own transpose exactly, as every Gaussian
+    self-kernel and every ``np.ix_(idx, idx)`` slice of one does. The factor
+    then overwrites one Fortran-order copy of K with the nugget added to its
+    diagonal: the copy is of ``kernel.T``, which for a C-ordered kernel is a
+    straight copy, not a transposing one, and holds the same values. Off the
+    diagonal k + 0 = k, so the factor equals that of ``K + nugget *
+    np.eye(n)`` bit for bit.
     """
-    system = np.array(kernel, dtype=float, order="F")
+    system = np.array(kernel.T, dtype=float, order="F")
     diag = np.arange(system.shape[0])
     system[diag, diag] += nugget
     try:

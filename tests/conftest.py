@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ class QuadraticSaddleChart:
     def evaluate(self, u):
         return self._field.evaluate(u)
 
-    def outside(self, x):
-        return False
+    def clearance(self, x):
+        return math.inf
 
 
 def quadratic_saddle_force(x):

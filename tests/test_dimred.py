@@ -113,6 +113,26 @@ class TestKernelSymmetryProperties:
         assert np.array_equal(kernel, kernel.T)
 
     @settings(max_examples=200, deadline=None)
+    @given(clouds)
+    def test_squared_distances_exactly_symmetric(self, pts):
+        sq = squared_distances(pts, pts)
+        assert np.array_equal(sq, sq.T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 80), st.integers(1, 4))
+    def test_diffusion_map_kernel_and_slices_exactly_symmetric(self, seed, n, p):
+        # regression.kernel_factorization copies kernel.T in place of the
+        # kernel: this is the invariant it rests on
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.0, 1.0, (n, p))
+        sq = squared_distances(pts, pts)
+        kernel = diffusion_maps(pts, median_bandwidth(sq), 1, sq=sq).kernel
+        idx = np.sort(rng.choice(n, size=n // 2, replace=False))
+        block = kernel[np.ix_(idx, idx)]
+        assert np.array_equal(kernel, kernel.T)
+        assert np.array_equal(block, block.T)
+
+    @settings(max_examples=200, deadline=None)
     @given(clouds, bandwidths)
     def test_markov_conjugate_exactly_symmetric(self, pts, eps):
         # why diffusion_maps needs no 0.5 * (S + S^T) before its eigensolve

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import tracemalloc
 
 import numpy as np
@@ -134,13 +135,32 @@ class TestBuildLocalChart:
     def test_collapsed_cloud_is_degenerate(self):
         # a nonzero scale can still project every sample onto the base point;
         # the bandwidth check then refuses the chart
-        base = np.array([0.3, -0.2])
-        problem = dataclasses.replace(
-            flat_problem(), project=lambda x: np.broadcast_to(base, np.shape(x)).copy()
-        )
-        cfg = small_cfg(sampler=SamplerConfig(n_samples=50, perturbation_scale=0.1))
+        problem, base, cfg = collapsed_cloud_case()
         with pytest.raises(DegenerateChartError, match="collapsed"):
             build_local_chart(problem, base, cfg)
+
+    def test_rejected_attempts_are_logged(self, caplog):
+        problem, base, cfg = collapsed_cloud_case()
+        with caplog.at_level(logging.INFO, logger="saddlemap"):
+            traj = run_search(problem, base, dataclasses.replace(cfg, n_iterations_max=1))
+        assert traj.verdict == VERDICT_FAILED
+        records = [r for r in caplog.records if r.name == "saddlemap"]
+        assert [r.levelno for r in records] == [logging.INFO] * 3
+        for attempt, rec in enumerate(records):
+            message = rec.getMessage()
+            assert message.startswith(
+                f"iteration 1: chart attempt {attempt} rejected: DegenerateChartError: "
+            )
+            assert "collapsed point set" in message
+
+
+def collapsed_cloud_case():
+    """A problem whose projection sends every sample onto the base point."""
+    base = np.array([0.3, -0.2])
+    problem = dataclasses.replace(
+        flat_problem(), project=lambda x: np.broadcast_to(base, np.shape(x)).copy()
+    )
+    return problem, base, small_cfg(sampler=SamplerConfig(n_samples=50, perturbation_scale=0.1))
 
 
 def mb_chart_cfg(n: int, seed: int = 0) -> DriverConfig:
@@ -244,6 +264,23 @@ class TestLearnedStep:
         assert len(rec.chart_trajectory) == 2
         assert sorted(calls) == [1, 1, 2, 2]
 
+    def test_cached_clearance_decides_as_a_query_at_every_step(self, monkeypatch):
+        # a chart at the sphere workload's settings (N=1000, dt=1e-3) that the
+        # trajectory leaves after 882 steps
+        cfg = small_cfg(sampler=SamplerConfig(n_samples=1000, perturbation_scale=0.15),
+                        n_ode_steps=1000, ode_dt=1e-3)
+        base = benchmarks.sphere_project(np.array([0.5, -1.0, 0.3]))
+        local = build_local_chart(SPHERE, base, cfg)
+        queries = []
+        clearance = local.clearance
+        monkeypatch.setattr(local, "clearance", lambda x: queries.append(x) or clearance(x))
+        rec = integrate_isd_on_chart(local, local.to_chart(base), cfg)
+        assert rec.exit_reason == EXIT_TRUST_REGION
+        outside = [float(local.tree.query(x)[0]) > local.trust_radius
+                   for x in rec.ambient_trajectory]
+        assert outside == [False] * (len(outside) - 1) + [True]
+        assert 1 < len(queries) < len(outside) // 5
+
 
 class TestRunSearch:
     def test_start_at_saddle_converges_immediately(self):
@@ -336,7 +373,7 @@ class TestRunSearch:
         assert e1 > e0
 
     def test_exact_chart_needs_only_the_three_methods(self):
-        # the plane's exact chart has only to_chart, evaluate and outside;
+        # the plane's exact chart has only to_chart, evaluate and clearance;
         # the reflected field -2u drives (0.3, 0.2) to the origin
         problem = flat_problem(force=quadratic_saddle_force)
         cfg = small_cfg(n_iterations_max=1, n_ode_steps=1000, ode_dt=1e-2, tol_force=1e-3)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from saddlemap import benchmarks
-from saddlemap.errors import DegenerateChartError
+from saddlemap.errors import DegenerateChartError, NonFiniteEvaluationError
 from saddlemap.geometry import (
     GADState,
     MetricTensor,
@@ -303,6 +304,55 @@ class TestSmallestEigpair:
         _, v_flip, _ = smallest_eigpair(hess, g, prev_v=-v_prev)
         assert np.allclose(v_flip, -v_prev)
 
+    def test_indefinite_metric_is_degenerate(self):
+        # dsygvd cannot factor an indefinite g: info > n
+        g = MetricTensor(g=np.array([[1.0, 2.0], [2.0, 1.0]]), g_inv=np.eye(2))
+        with pytest.raises(DegenerateChartError, match="dsygvd info 4"):
+            smallest_eigpair(np.diag([-1.0, 1.0]), g)
+
+    def test_non_finite_hessian_is_non_finite(self):
+        with pytest.raises(NonFiniteEvaluationError):
+            smallest_eigpair(np.array([[np.nan, 0.0], [0.0, 1.0]]), metric_tensor(np.eye(2)))
+
+
+def eigh_smallest_eigpair(h, g, prev_v=None):
+    """smallest_eigpair through scipy.linalg.eigh, the reference for dsygvd."""
+    w, vecs = scipy.linalg.eigh(h, g.g)
+    v = vecs[:, 0]
+    v = v / np.sqrt(g.inner(v, v))
+    if prev_v is not None:
+        if g.inner(v, prev_v) < 0.0:
+            v = -v
+    else:
+        nz = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
+        if nz.size and v[nz[0]] < 0.0:
+            v = -v
+    return float(w[0]), v, w
+
+
+@st.composite
+def spd_pairs(draw):
+    """A random SPD metric g (g >= I/10), a symmetric h and a direction, d = 1-3."""
+    d = draw(st.integers(1, 3))
+    entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    a = draw(arrays(np.float64, (d, d), elements=entries))
+    b = draw(arrays(np.float64, (d, d), elements=entries))
+    prev = draw(arrays(np.float64, d, elements=entries))
+    return metric_tensor(a @ a.T + 0.1 * np.eye(d)), b + b.T, prev
+
+
+class TestSmallestEigpairMatchesEigh:
+    @settings(max_examples=300, deadline=None)
+    @given(spd_pairs(), st.booleans())
+    def test_bitwise(self, case, with_prev):
+        g, h, prev = case
+        prev_v = prev if with_prev else None
+        lam, v, spectrum = smallest_eigpair(h, g, prev_v=prev_v)
+        lam_ref, v_ref, spectrum_ref = eigh_smallest_eigpair(h, g, prev_v=prev_v)
+        assert lam == lam_ref
+        assert np.array_equal(v, v_ref)
+        assert np.array_equal(spectrum, spectrum_ref)
+
 
 class TestISDField:
     def test_quadratic_chart(self):
@@ -381,6 +431,13 @@ class TestISDReflectionProperties:
         assert np.max(np.abs(isd_field(v, v, g) + v)) <= 1e-12
         perp = w - g.inner(v, w) * v
         assert np.max(np.abs(isd_field(perp, v, g) - perp)) <= 1e-10 * (1.0 + g.norm(w))
+
+    @settings(max_examples=200, deadline=None)
+    @given(reflection_cases())
+    def test_equals_formula_through_inner_bitwise(self, case):
+        # isd_field forms v @ g once for both inner products; g.inner rounds the same
+        g, v, w = case
+        assert np.array_equal(isd_field(w, v, g), w - 2.0 * g.inner(v, w) * v)
 
 
 

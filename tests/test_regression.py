@@ -1,12 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlemap import regression
 from saddlemap.dimred import bandwidth_median_rule, diffusion_maps
 from saddlemap.errors import ChartFitError
 from saddlemap.kernels import gaussian_kernel
 from saddlemap.regression import (
+    NUGGET_LADDER,
+    RegressorModel,
     fit,
     fit_with_nugget_selection,
     kernel_factorization,
@@ -241,3 +247,69 @@ class TestChartMapFits:
         scale = np.max(np.abs(chart_samples))
         assert np.max(np.abs(phi.predict_batch(pts) - chart_samples)) < 1e-4 * scale
         assert np.max(np.linalg.norm(psi.predict_batch(chart_samples) - pts, axis=1)) < 1e-3
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestLayoutBitwise:
+    """Column-major train_inputs and the straight kernel copy change no bit."""
+
+    def test_fit_stores_column_major_inputs(self, rng):
+        x = rng.uniform(-1, 1, (30, 3))
+        assert fit(x, x[:, :2], eps=0.5, nugget=1e-8).train_inputs.flags.f_contiguous
+
+    @staticmethod
+    def _both_layouts(seed, n, p, q, order):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (n, p))
+        c_model = RegressorModel(train_inputs=np.ascontiguousarray(x),
+                                 bandwidth_eps=float(rng.uniform(0.05, 2.0)), nugget=0.0,
+                                 weights=rng.standard_normal((n, q)))
+        f_model = dataclasses.replace(c_model, train_inputs=np.asfortranarray(x))
+        query = rng.uniform(-1.2, 1.2, p)
+        c_out = c_model.predict_with_derivatives(query, order=order)
+        f_out = f_model.predict_with_derivatives(query, order=order)
+        assert all(a is None and b is None for a, b in zip(c_out[order + 1:], f_out[order + 1:]))
+        return c_model, c_out[:order + 1], f_out[:order + 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds, st.integers(1, 1200), st.integers(1, 4), st.integers(2, 8), st.integers(0, 2))
+    def test_predictions_independent_of_input_order(self, seed, n, p, q, order):
+        # every regressor of a chart of dimension >= 2 has q >= 2 outputs
+        _, c_out, f_out = self._both_layouts(seed, n, p, q, order)
+        assert all(np.array_equal(a, b) for a, b in zip(c_out, f_out))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds, st.integers(1, 1200), st.integers(1, 4), st.integers(0, 2))
+    def test_single_output_derivatives_agree_to_rounding(self, seed, n, p, order):
+        # with q = 1 the Jacobian's kw.T @ diff is a BLAS matrix-vector
+        # product, whose accumulation order follows the layout of diff: the
+        # value stays bitwise equal, the derivatives only to rounding
+        model, c_out, f_out = self._both_layouts(seed, n, p, 1, order)
+        assert np.array_equal(c_out[0], f_out[0])
+        eps = model.bandwidth_eps
+        for k in range(1, order + 1):
+            scale = np.abs(model.weights).sum() * ((1.0 + 2.5 ** 2) / min(eps, 1.0)) ** k
+            assert np.max(np.abs(c_out[k] - f_out[k])) <= 1e-14 * n * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds, st.integers(2, 150), st.integers(1, 4), st.sampled_from(NUGGET_LADDER))
+    def test_factor_equals_factor_of_transposing_copy(self, seed, n, p, nugget):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (n, p))
+        kernel = gaussian_kernel(x, x, bandwidth_median_rule(x))
+        sub = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+        for k in (kernel, kernel[np.ix_(sub, sub)]):
+            # the Fortran-order copy of K itself transposes a C-ordered K
+            system = np.array(k, dtype=float, order="F")
+            system[np.diag_indices(k.shape[0])] += nugget
+            try:
+                expected, _ = scipy.linalg.cho_factor(system, lower=True, overwrite_a=True)
+            except scipy.linalg.LinAlgError:
+                with pytest.raises(ChartFitError):
+                    kernel_factorization(k, nugget)
+                continue
+            factor, lower = kernel_factorization(k, nugget)
+            assert lower
+            assert np.array_equal(factor, expected)
