@@ -17,8 +17,10 @@ import scipy.sparse.linalg
 from .errors import DegenerateChartError
 from .kernels import gaussian_kernel, squared_distances
 
-# rows per block when scaling an N x N matrix by an outer product in place
+# rows per block of a pass over an N x N matrix
 _ROW_BLOCK = 512
+# entries in the strided sample that brackets the median of a distance matrix
+_MEDIAN_SAMPLE = 1 << 16
 # a singular value counts toward a Jacobian's numerical rank above this
 # fraction of the largest one
 RANK_TOL = 0.2
@@ -65,27 +67,45 @@ class DiffusionMapResult:
 def median_bandwidth(sq: np.ndarray) -> float:
     """Squared median of the pairwise distances whose squares fill ``sq``.
 
-    Reads the strict upper triangle of a symmetric (N, N) squared-distance
-    matrix. The square root is monotone, so the middle order statistics of
-    the squares sit where those of the distances do; the median is then the
+    ``sq`` is a symmetric (N, N) squared-distance matrix with a zero
+    diagonal. No square is negative, so its entries sorted are the N
+    diagonal zeros and each pair's square twice: the pair of rank r sits at
+    rank N + 2r of the whole matrix. A strided sample brackets the two
+    middle ranks, and one pass in row blocks counts the entries below the
+    bracket and gathers those inside it; a bracket that misses either rank
+    is widened and the pass repeated. So no copy of the triangle is made.
+    The square root is monotone, so the middle order statistics of the
+    squares sit where those of the distances do; the median is then the
     mean of their square roots, as ``np.median(pdist(x))`` computes it, and
     the result equals ``np.median(pdist(x)) ** 2`` bit for bit.
     """
     n = sq.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least two points")
-    # copied row by row: np.triu_indices would allocate two int64 index
-    # arrays, each as large as the copy itself
-    upper = np.empty(n * (n - 1) // 2)
-    start = 0
-    for i in range(n - 1):
-        row = sq[i, i + 1:]
-        upper[start:start + row.size] = row
-        start += row.size
-    half = upper.size // 2
-    low = half if upper.size % 2 else half - 1
-    upper.partition((low, half))
-    med = np.mean(np.sqrt(upper[low:half + 1]))
+    pairs = n * (n - 1) // 2
+    half = pairs // 2
+    low = half if pairs % 2 else half - 1
+    ranks = np.array([n + 2 * low, n + 2 * half])
+    sample = np.sort(sq.flat[::max(1, sq.size // _MEDIAN_SAMPLE)])
+    at = ranks * sample.size // sq.size
+    margin = 2 * int(np.sqrt(sample.size)) + 1
+    while True:
+        lo = sample[at[0] - margin] if at[0] >= margin else -np.inf
+        hi = sample[at[1] + margin] if at[1] + margin < sample.size else np.inf
+        below, inside = 0, []
+        for start in range(0, n, _ROW_BLOCK):
+            block = sq[start:start + _ROW_BLOCK]
+            under = block < lo
+            below += np.count_nonzero(under)
+            inside.append(block[~under & (block <= hi)])
+        inside = np.concatenate(inside)
+        kth = ranks - below
+        if kth[0] >= 0 and kth[1] < inside.size:
+            break
+        margin *= 4
+    inside.partition(tuple(kth))
+    # one entry when the pair count is odd, as np.median reads one
+    med = np.mean(np.sqrt(inside[np.unique(kth)]))
     return float(med ** 2)
 
 
@@ -101,18 +121,25 @@ def markov_conjugate(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric conjugate of the alpha=1 Markov operator of ``kernel``.
 
     With q the kernel's row sums, K_alpha = K / (q q^T) and d its row sums,
-    returns (S, d^-1/2) for S = diag(d^-1/2) K_alpha diag(d^-1/2). S is built
-    in one new N x N buffer, and it is exactly symmetric when K is: each
-    entry is a product of the same commuting factors for (i, j) and (j, i).
+    returns (S, d^-1/2) for S = diag(d^-1/2) K_alpha diag(d^-1/2). S is
+    built in the kernel's own buffer, which it overwrites and which is
+    returned: each row block is divided by ``np.outer(q[rows], q)`` and,
+    once every d is known, multiplied by ``np.outer(d_isqrt[rows],
+    d_isqrt)``. Those are the entries of the full outer products, so S
+    equals the dense formula bit for bit, and it is exactly symmetric when
+    K is: each entry is a product of the same commuting factors for (i, j)
+    and (j, i).
     """
     q = kernel.sum(axis=1)
-    sym = np.outer(q, q)
-    np.divide(kernel, sym, out=sym)
-    d_isqrt = 1.0 / np.sqrt(sym.sum(axis=1))
-    for start in range(0, sym.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        sym[rows] *= np.outer(d_isqrt[rows], d_isqrt)
-    return sym, d_isqrt
+    d = np.empty_like(q)
+    blocks = [slice(start, start + _ROW_BLOCK) for start in range(0, kernel.shape[0], _ROW_BLOCK)]
+    for rows in blocks:
+        kernel[rows] /= np.outer(q[rows], q)
+        d[rows] = kernel[rows].sum(axis=1)
+    d_isqrt = 1.0 / np.sqrt(d)
+    for rows in blocks:
+        kernel[rows] *= np.outer(d_isqrt[rows], d_isqrt)
+    return kernel, d_isqrt
 
 
 def diffusion_maps(
@@ -128,8 +155,12 @@ def diffusion_maps(
     permutation-covariant sign convention, and the embedding uses diffusion
     time 1: coordinate i = lambda_i * psi_i.
 
-    ``sq`` may carry the points' squared-distance matrix; it is overwritten
-    in place with the kernel (see :func:`gaussian_kernel`).
+    One N x N buffer carries the whole pipeline: the conjugate is built in
+    the kernel's buffer (:func:`markov_conjugate`), and after the eigensolve
+    the kernel is assembled again into the same buffer from the points,
+    equal to the first bit for bit, and returned. ``sq`` may carry the
+    points' squared-distance matrix; it is that buffer, overwritten in
+    place (see :func:`gaussian_kernel`).
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -138,12 +169,12 @@ def diffusion_maps(
     if not 0 < n_components < n - 1:
         raise ValueError(f"need 0 < n_components < N - 1, got {n_components} of {n}")
 
-    kernel = gaussian_kernel(points, points, eps, sq=sq)
-    sym, d_isqrt = markov_conjugate(kernel)
+    sym, d_isqrt = markov_conjugate(gaussian_kernel(points, points, eps, sq=sq))
 
     k_eig = n_components + 1
     v0 = np.full(n, 1.0 / np.sqrt(n))
     w, phi = scipy.sparse.linalg.eigsh(sym, k=k_eig, which="LA", v0=v0)
+    kernel = gaussian_kernel(points, points, eps, sq=squared_distances(points, points, out=sym))
     order = np.argsort(w)[::-1]
     w = w[order]
     phi = phi[:, order]

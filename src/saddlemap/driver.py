@@ -144,12 +144,15 @@ def _derive_seed(*entropy) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
-def _pushforward_at_samples(phi: RegressorModel, cloud: PointCloud, kernel: np.ndarray) -> np.ndarray:
+def _pushforward_at_samples(phi: RegressorModel, cloud: PointCloud) -> np.ndarray:
     """Jacobian-vector products Dphi(q_i) X(q_i) for every cloud row.
 
-    Uses the training kernel rows directly: the Jacobian of the kernel
-    predictor contracted with X_j reduces to (K o S) @ weights with
-    S_ji = (q_j - q_i) . X_j.
+    The Jacobian of the kernel predictor contracted with X_j reduces to
+    (K o S) @ weights with S_ji = (q_j - q_i) . X_j, over 1024-row blocks
+    (the BLAS product's rounding depends on the block's row count). phi's
+    factor has taken the training kernel's buffer by now, so K's rows are
+    assembled from the points, multiplied into S in 1024-column chunks:
+    they equal the full kernel's rows bit for bit.
     """
     points, forces = cloud.points, cloud.forces
     eps = phi.bandwidth_eps
@@ -165,7 +168,9 @@ def _pushforward_at_samples(phi: RegressorModel, cloud: PointCloud, kernel: np.n
         row_dot = np.sum(x_blk * f_blk, axis=1)
         s = np.matmul(f_blk, points.T, out=buffer[:stop - start])
         np.subtract(row_dot[:, None], s, out=s)
-        np.multiply(kernel[start:stop], s, out=s)
+        for col in range(0, n, block):
+            cols = slice(col, col + block)
+            s[:, cols] *= regression.gaussian_kernel(x_blk, points[cols], eps)
         out[start:stop] = -(s @ phi.weights) / eps
     return out
 
@@ -184,14 +189,19 @@ def _rank_chart_components(points: np.ndarray, dmap: DiffusionMapResult, eps: fl
     The provisional fit of all embedding components runs on an evenly
     strided subset of at most ``MAX_TRIAL_POINTS`` cloud rows (every row
     of a smaller cloud) and draws from no generator; its Jacobians at 50
-    cloud points rank the components. The quality gate applies to the chart
-    map fitted afterwards, not to this fit.
+    cloud points rank the components. A subset's kernel is this fit's own
+    copy and is factored in place; the full kernel is factored in a copy.
+    The quality gate applies to the chart map fitted afterwards, not to
+    this fit.
     """
     n = points.shape[0]
     sub = np.unique(np.linspace(0, n - 1, min(n, MAX_TRIAL_POINTS)).astype(int))
-    kernel = dmap.kernel if sub.size == n else dmap.kernel[np.ix_(sub, sub)]
+    subset = sub.size < n
+    kernel = dmap.kernel[np.ix_(sub, sub)] if subset else dmap.kernel
+    nugget = 1e-6
+    factorization = regression.kernel_factorization(kernel, nugget, overwrite_kernel=subset)
     ranking = regression.fit(
-        points[sub], dmap.coordinates[sub], eps, nugget=1e-6, reuse_kernel=kernel
+        points[sub], dmap.coordinates[sub], eps, nugget, factorization=factorization
     )
     eval_idx = np.unique(np.linspace(0, n - 1, min(n, 50)).astype(int))
     jacobians = [ranking.predict_with_derivatives(points[i], order=1)[1] for i in eval_idx]
@@ -204,12 +214,14 @@ def _fit_chart_map_and_force(
     """phi (ambient -> chart), the chart force and the chart samples.
 
     One squared-distance matrix of the cloud gives the median bandwidth and
-    is then exponentiated in place into the diffusion-map kernel, which the
-    component ranking, phi, the chart force and the pushforward reuse. phi's
-    full-N Cholesky factor goes straight to the chart-force fit through the
-    kernel's ``factors`` dict; the ranking fit factors at most
-    ``MAX_TRIAL_POINTS`` rows. That kernel and phi's factor live only in
-    this frame.
+    is then the one N x N buffer of the diffusion map, which returns the
+    kernel in it. The component ranking reads that kernel, and phi's fit
+    takes it over: its full-N Cholesky factor takes the buffer, so at most
+    about one N x N array is live at a time. The pushforward and the chart
+    force's nugget trials assemble the kernel blocks they read from the
+    points. phi's factor goes straight to the chart-force fit through the
+    ``factors`` dict when both pick the same nugget; otherwise the
+    chart-force fit drops it and factors a freshly assembled kernel in place.
     """
     points = cloud.points
     # the Lanczos solve needs n_components + 1 < N
@@ -225,12 +237,12 @@ def _fit_chart_map_and_force(
     factors: dict = {}
     rng_phi = np.random.default_rng([cfg.seed, iteration, attempt, 1])
     phi, _ = fit_with_nugget_selection(points, chart_samples, eps, rng_phi, dmap.kernel, factors)
+    # the buffer now holds phi's factor: let the factors dict alone keep it
+    del sq, dmap
 
-    pushforward = _pushforward_at_samples(phi, cloud, dmap.kernel)
+    pushforward = _pushforward_at_samples(phi, cloud)
     rng_force = np.random.default_rng([cfg.seed, iteration, attempt, 2])
-    chart_force, _ = fit_with_nugget_selection(
-        points, pushforward, eps, rng_force, dmap.kernel, factors
-    )
+    chart_force, _ = fit_with_nugget_selection(points, pushforward, eps, rng_force, None, factors)
     return phi, chart_force, chart_samples
 
 
@@ -243,10 +255,11 @@ def build_local_chart(
 ) -> LocalChart:
     """Sample a cloud around ``base`` and learn chart, force field, geometry.
 
-    About two N x N arrays are live at a time (a kernel and a Cholesky
-    factor) plus the trial fits' submatrices. Raises DegenerateChartError /
-    ChartFitError when the chart cannot be trusted; the caller resamples
-    with a fresh seed (at most three attempts).
+    At most about one N x N array is live at any stage (the cloud's kernel,
+    phi's factor in its buffer, then psi's kernel and factor in one buffer),
+    plus the trial fits' blocks and row blocks of the pushforward. Raises
+    DegenerateChartError / ChartFitError when the chart cannot be trusted;
+    the caller resamples with a fresh seed (at most three attempts).
     """
     seed = _derive_seed(cfg.seed, iteration, attempt, 0)
     cloud = sample_cloud(problem, base, cfg.sampler, seed)
@@ -255,7 +268,7 @@ def build_local_chart(
 
     # psi's kernel comes from one squared-distance matrix of the chart
     # samples, like the cloud's; its trial and held-out blocks are
-    # submatrices of it
+    # submatrices of it, and its factor takes its buffer
     sq_chart = squared_distances(chart_samples, chart_samples)
     eps_chart = _median_bandwidth(sq_chart)
     psi_kernel = regression.gaussian_kernel(chart_samples, chart_samples, eps_chart, sq=sq_chart)

@@ -98,7 +98,7 @@ def gad_extended_field(
     x, v = _as_vector(state.x), _as_vector(state.v)
     # tolerance sized to the drift an un-renormalized Euler integration
     # accumulates over 10^3 steps; renormalized integrators stay far inside
-    if abs(np.linalg.norm(v) - 1.0) > 1e-4:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-4:  # a NaN norm fails too
         raise ValueError(f"ascent direction must be unit norm, |v| = {np.linalg.norm(v)}")
     du = np.asarray(grad_u(x), dtype=float)
     d2u = np.asarray(hess_u(x), dtype=float)
@@ -228,7 +228,7 @@ def isd_field(x_force: Vector, v: Vector, g: MetricTensor) -> Vector:
     x_force = _as_vector(x_force)
     v = _as_vector(v)
     vg = v @ g.g  # one product serves g(V, V) and g(V, X), rounded as g.inner rounds
-    if abs(float(vg @ v) - 1.0) > 1e-8:
+    if not abs(float(vg @ v) - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ValueError("soft-mode direction must be g-normalized")
     return x_force - 2.0 * float(vg @ x_force) * v
 

@@ -1,8 +1,9 @@
 """Squared-exponential kernel shared by the diffusion-map and regression modules.
 
-Both modules must assemble the matrix through this single routine so that a
-kernel computed for the spectral embedding can be handed to the regressor and
-match a freshly computed one bit for bit.
+Every kernel of a chart build is assembled through this single routine, so
+that a kernel computed for the spectral embedding can be handed to the
+regressor and match a freshly computed one bit for bit, and a block assembled
+from row and column subsets of the points matches the submatrix bit for bit.
 """
 from __future__ import annotations
 
@@ -10,15 +11,18 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 
-def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def squared_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of squared Euclidean distances ||x_i - y_j||^2.
 
-    cdist evaluates each entry with the same summation order for (i, j) and
-    (j, i), so the matrix of a set against itself is exactly symmetric.
+    cdist evaluates each entry from x_i and y_j alone, with the same
+    summation order for (i, j) and (j, i): the matrix of a set against
+    itself is exactly symmetric, and the matrix of row and column subsets
+    equals the matching submatrix bit for bit. ``out`` may name a C-ordered
+    float buffer of the result's shape to write into.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    return cdist(x, y, "sqeuclidean")
+    return cdist(x, y, "sqeuclidean", out=out)
 
 
 def gaussian_kernel(

@@ -3,9 +3,12 @@
 Used three ways in the pipeline: ambient -> chart coordinates (phi), chart ->
 ambient (psi), and the chart force field. Prediction is mean-only: the models
 act as smooth interpolants, never as uncertainty estimates. A chart build
-hands each fit the Gaussian kernel it already assembled (the diffusion-map
-kernel of the cloud, psi's kernel of the chart samples) and this module takes
-it as given: the nugget trials read submatrices of it and assemble nothing.
+hands phi and psi the Gaussian kernel it already assembled (the diffusion-map
+kernel of the cloud, psi's kernel of the chart samples): the nugget trials
+read submatrices of it, and the winning nugget's full system is factored in
+its buffer. The chart force, fitted on the cloud after phi's factor has
+taken that buffer, assembles its trial blocks from the inputs; they equal
+the submatrices bit for bit.
 """
 from __future__ import annotations
 
@@ -120,18 +123,21 @@ def fit(
     )
 
 
-def kernel_factorization(kernel: np.ndarray, nugget: float):
+def kernel_factorization(kernel: np.ndarray, nugget: float, overwrite_kernel: bool = False):
     """Cholesky factorization of (K + nugget I), reusable across targets.
 
     ``kernel`` must equal its own transpose exactly, as every Gaussian
-    self-kernel and every ``np.ix_(idx, idx)`` slice of one does. The factor
-    then overwrites one Fortran-order copy of K with the nugget added to its
-    diagonal: the copy is of ``kernel.T``, which for a C-ordered kernel is a
-    straight copy, not a transposing one, and holds the same values. Off the
-    diagonal k + 0 = k, so the factor equals that of ``K + nugget *
-    np.eye(n)`` bit for bit.
+    self-kernel and every ``np.ix_(idx, idx)`` slice of one does. The
+    factor overwrites a Fortran-order array of ``kernel.T`` with the nugget
+    added to its diagonal. By default that array is a copy: for a C-ordered
+    kernel a straight copy, not a transposing one, holding the same values.
+    With ``overwrite_kernel`` (scipy's ``overwrite_a`` idiom) it is
+    ``kernel.T`` itself, a Fortran-order view of a C-ordered kernel, so the
+    factor takes the kernel's buffer and no N x N copy is made; the kernel
+    must not be read afterwards. Off the diagonal k + 0 = k, so the factor
+    equals that of ``K + nugget * np.eye(n)`` bit for bit either way.
     """
-    system = np.array(kernel.T, dtype=float, order="F")
+    system = kernel.T if overwrite_kernel else np.array(kernel.T, dtype=float, order="F")
     diag = np.arange(system.shape[0])
     system[diag, diag] += nugget
     try:
@@ -183,36 +189,54 @@ def fit_with_nugget_selection(
     targets: np.ndarray,
     eps: float,
     rng: np.random.Generator,
-    kernel: np.ndarray,
+    kernel: Optional[np.ndarray],
     factors: dict,
 ) -> tuple[RegressorModel, float]:
     """Fit with the smallest nugget whose held-out R^2 reaches R2_TARGET.
 
-    ``kernel`` is the Gaussian kernel of ``inputs`` at ``eps``, taken as
-    given. Trial fits run on an 80/20 split of at most ``MAX_TRIAL_POINTS``
-    rows: each trains on the submatrix K[tr, tr] and scores the held-out
-    predictions K[te, tr] @ w. The winning nugget is then refit on all rows.
-    ``factors`` maps a nugget to the Cholesky factor of this kernel's full
-    system; the caller creates one dict beside each kernel and passes it to
-    every fit on that kernel, so fits of different targets factor it once.
-    A trial whose held-out R^2 is undefined (a constant target missed) fails.
-    Raises ChartFitError when no nugget on the ladder reaches the target.
+    Trial fits run on an 80/20 split of at most ``MAX_TRIAL_POINTS`` rows:
+    each trains on the block K[tr, tr] and scores the held-out predictions
+    K[te, tr] @ w. The winning nugget is then refit on all rows.
+
+    ``kernel`` is the C-ordered Gaussian kernel of ``inputs`` at ``eps``,
+    taken as given and handed over: the blocks are its submatrices, and the
+    winning nugget's full system is factored in its buffer, which the caller
+    must not read afterwards. With ``kernel=None`` the blocks are assembled
+    from the input rows, equal to those submatrices bit for bit.
+
+    ``factors`` holds the Cholesky factor of one full system of these inputs
+    and ``eps``, keyed by its nugget; the caller creates one dict per input
+    set and passes it to every fit on it, so fits of different targets that
+    pick the same nugget factor once. A fit that picks another nugget first
+    drops the held factor, then factors a freshly assembled kernel in its
+    own buffer, so two full systems are never live at once.
+
+    A trial whose held-out R^2 is undefined (a constant target missed)
+    fails. Raises ChartFitError when no nugget on the ladder reaches the
+    target.
     """
     n = inputs.shape[0]
+    if kernel is not None and kernel.shape != (n, n):
+        raise ValueError(f"kernel has shape {kernel.shape}, expected {(n, n)}")
     trial_idx = np.arange(n)
     if n > MAX_TRIAL_POINTS:
         trial_idx = np.sort(rng.permutation(n)[:MAX_TRIAL_POINTS])
     tr, te = holdout_split(trial_idx.size, rng)
     tr, te = trial_idx[tr], trial_idx[te]
-    trial_kernel = kernel[np.ix_(tr, tr)]
 
+    def block(rows, cols):
+        if kernel is None:
+            return gaussian_kernel(inputs[rows], inputs[cols], eps)
+        return kernel[np.ix_(rows, cols)]
+
+    trial_kernel = block(tr, tr)
     for nugget in NUGGET_LADDER:
         try:
             model = fit(inputs[tr], targets[tr], eps, nugget, reuse_kernel=trial_kernel)
         except ChartFitError:
             continue
-        # sliced after the trial fit, so it never sits beside the trial factor
-        pred = kernel[np.ix_(te, tr)] @ model.weights
+        # taken after the trial fit, so it never sits beside the trial factor
+        pred = block(te, tr) @ model.weights
         try:
             r2 = r_squared(pred, targets[te])
         except ValueError:
@@ -221,7 +245,11 @@ def fit_with_nugget_selection(
             break
     else:
         raise ChartFitError(f"no nugget in {NUGGET_LADDER} reaches held-out R^2 >= {R2_TARGET}")
+    del trial_kernel  # not kept beside the full system
     if nugget not in factors:
-        factors[nugget] = kernel_factorization(kernel, nugget)
-    full = fit(inputs, targets, eps, nugget, reuse_kernel=kernel, factorization=factors[nugget])
+        factors.clear()
+        if kernel is None:
+            kernel = gaussian_kernel(inputs, inputs, eps)
+        factors[nugget] = kernel_factorization(kernel, nugget, overwrite_kernel=True)
+    full = fit(inputs, targets, eps, nugget, factorization=factors[nugget])
     return full, r2

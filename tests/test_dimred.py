@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
-from saddlemap import benchmarks
+from saddlemap import benchmarks, dimred
 from saddlemap.dimred import (
     PointCloud,
     bandwidth_median_rule,
@@ -138,6 +139,89 @@ class TestKernelSymmetryProperties:
         # why diffusion_maps needs no 0.5 * (S + S^T) before its eigensolve
         sym, _ = markov_conjugate(gaussian_kernel(pts, pts, eps))
         assert np.array_equal(sym, sym.T)
+
+
+def two_buffer_pipeline(pts, eps, n_components):
+    """The diffusion map with a second N x N buffer for the conjugate: the
+    full outer products and full row sums of the dense formula."""
+    kernel = gaussian_kernel(pts, pts, eps)
+    q = kernel.sum(axis=1)
+    sym = np.outer(q, q)
+    np.divide(kernel, sym, out=sym)
+    d_isqrt = 1.0 / np.sqrt(sym.sum(axis=1))
+    for start in range(0, sym.shape[0], 512):
+        rows = slice(start, start + 512)
+        sym[rows] *= np.outer(d_isqrt[rows], d_isqrt)
+    k = n_components + 1
+    n = len(pts)
+    w, phi = scipy.sparse.linalg.eigsh(sym, k=k, which="LA", v0=np.full(n, 1.0 / np.sqrt(n)))
+    order = np.argsort(w)[::-1]
+    w, phi = w[order], phi[:, order]
+    psi = phi * d_isqrt[:, None]
+    psi = psi * (np.sqrt(n) / np.linalg.norm(psi, axis=0))
+    psi = psi * np.sign(psi[np.argmax(np.abs(psi), axis=0), np.arange(k)])
+    return kernel, sym, w, psi
+
+
+# clouds drawn from a small grid: duplicate points, zero off-diagonal
+# distances and ties at the median
+grid_clouds = st.tuples(st.integers(2, 70), st.integers(1, 3)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 0.5, 2.0]))
+)
+
+
+class TestOneBufferProperties:
+    """The bitwise invariants that let a chart build keep one N x N buffer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.integers(1, 4), bandwidths)
+    def test_kernel_blocks_equal_slices(self, seed, n, p, eps):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.0, 1.0, (n, p))
+        kernel = gaussian_kernel(pts, pts, eps)
+        rows = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+        cols = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+        start, stop = sorted(rng.integers(0, n + 1, 2))
+        assert np.array_equal(gaussian_kernel(pts[rows], pts[cols], eps), kernel[np.ix_(rows, cols)])
+        assert np.array_equal(gaussian_kernel(pts[start:stop], pts, eps), kernel[start:stop])
+
+    @settings(max_examples=200, deadline=None)
+    @given(clouds)
+    def test_median_equals_pdist_median(self, pts):
+        expected = float(np.median(pdist(pts)) ** 2)
+        assert median_bandwidth(squared_distances(pts, pts)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_clouds)
+    def test_median_with_duplicate_points(self, pts):
+        expected = float(np.median(pdist(pts)) ** 2)
+        assert median_bandwidth(squared_distances(pts, pts)) == expected
+
+    @pytest.mark.parametrize("n", [400, 401])
+    def test_median_bracket_widens_when_the_sample_misses(self, rng, monkeypatch, n):
+        # a stride of N + 1 samples the zero diagonal alone, so the first
+        # brackets hold no pair; even and odd pair counts
+        monkeypatch.setattr(dimred, "_MEDIAN_SAMPLE", n * n // (n + 1))
+        pts = rng.standard_normal((n, 2))
+        expected = float(np.median(pdist(pts)) ** 2)
+        assert median_bandwidth(squared_distances(pts, pts)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 1100), st.integers(1, 4))
+    def test_diffusion_maps_equals_two_buffer_pipeline(self, seed, n, p):
+        # up to 1100 rows: three row blocks of the in-place conjugate
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.0, 1.0, (n, p))
+        eps = bandwidth_median_rule(pts)
+        n_components = min(3, n - 2)
+        kernel, sym, w, psi = two_buffer_pipeline(pts, eps, n_components)
+        got_sym, _ = markov_conjugate(gaussian_kernel(pts, pts, eps))
+        dmap = diffusion_maps(pts, eps, n_components)
+        assert np.array_equal(got_sym, sym)
+        assert np.array_equal(dmap.kernel, kernel)
+        assert np.array_equal(dmap.eigenvalues, w)
+        assert np.array_equal(dmap.eigenvectors, psi)
+        assert np.array_equal(dmap.coordinates, psi[:, 1:] * w[1:])
 
 
 def procrustes_correlations(coords, reference):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from saddlemap import benchmarks, driver, regression
-from saddlemap.dimred import diffusion_maps, median_bandwidth, select_chart_components
+from saddlemap.dimred import PointCloud, diffusion_maps, median_bandwidth, select_chart_components
 from saddlemap.errors import DegenerateChartError
 from saddlemap.driver import (
     DriverConfig,
@@ -18,13 +18,14 @@ from saddlemap.driver import (
     VERDICT_FAILED,
     VERDICT_SADDLE_FOUND,
     _derive_seed,
+    _pushforward_at_samples,
     _rank_chart_components,
     build_local_chart,
     check_convergence,
     integrate_isd_on_chart,
     run_search,
 )
-from saddlemap.kernels import squared_distances
+from saddlemap.kernels import gaussian_kernel, squared_distances
 from saddlemap.regression import RegressorModel
 from saddlemap.sampling import SamplerConfig, sample_cloud
 
@@ -171,21 +172,31 @@ def mb_chart_cfg(n: int, seed: int = 0) -> DriverConfig:
 
 
 class TestChartBuildMemory:
-    def test_traced_peak_bounded(self):
-        # a chart build holds about two N x N arrays at a time (a kernel and
-        # a Cholesky factor); at N = 2000 the 1600-row trial fits beside
-        # them bring the traced peak to ~3.4 N x N arrays
-        n = 2000
+    @staticmethod
+    def traced_peak(n):
         problem = benchmarks.surface_problem()
         start = benchmarks.mb_start_point()
         cfg = mb_chart_cfg(n)
         tracemalloc.start()
         try:
             build_local_chart(problem, start, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * 8 * n * n
+
+    def test_traced_peak_bounded(self):
+        # one N x N array per stage; at N = 2000 the ranking fit factors a
+        # copy of the full kernel (MAX_TRIAL_POINTS rows), and the 1600-row
+        # trial fits beside the kernel bring the traced peak to ~2.4 N x N
+        # arrays
+        n = 2000
+        assert self.traced_peak(n) <= 3.0 * 8 * n * n
+
+    def test_traced_peak_bounded_at_mb_chart_size(self):
+        # the mb_chart benchmark's N: every full-N system is factored in its
+        # kernel's buffer, and the other blocks are small beside it (~1.25)
+        n = 5000
+        assert self.traced_peak(n) <= 1.5 * 8 * n * n
 
 
 class TestChartFactorizations:
@@ -196,9 +207,9 @@ class TestChartFactorizations:
         rows = []
         factor = regression.kernel_factorization
 
-        def recording(kernel, nugget):
+        def recording(kernel, nugget, overwrite_kernel=False):
             rows.append(kernel.shape[0])
-            return factor(kernel, nugget)
+            return factor(kernel, nugget, overwrite_kernel=overwrite_kernel)
 
         monkeypatch.setattr(regression, "kernel_factorization", recording)
         build_local_chart(benchmarks.surface_problem(), benchmarks.mb_start_point(), cfg)
@@ -219,6 +230,26 @@ class TestChartFactorizations:
         rows = self.factored_rows(monkeypatch, cfg)
         assert rows[0] == 1000
         assert rows.count(1000) == 3
+
+
+class TestPushforwardBlocks:
+    @pytest.mark.parametrize("n", [700, 2100])
+    def test_equals_product_with_full_kernel_rows(self, rng, n):
+        # kernel rows assembled in column chunks give the product of the
+        # full kernel's row blocks bit for bit
+        points = rng.uniform(-1.0, 1.0, (n, 3))
+        cloud = PointCloud(points=points, forces=rng.standard_normal((n, 3)), base_point=points[0])
+        eps = 0.3
+        phi = RegressorModel(train_inputs=np.asfortranarray(points), bandwidth_eps=eps,
+                             nugget=1e-8, weights=rng.standard_normal((n, 2)))
+        kernel = gaussian_kernel(points, points, eps)
+        expected = np.empty((n, 2))
+        for start in range(0, n, 1024):
+            rows = slice(start, start + 1024)
+            f_blk = cloud.forces[rows]
+            s = np.sum(points[rows] * f_blk, axis=1)[:, None] - f_blk @ points.T
+            expected[rows] = -((kernel[rows] * s) @ phi.weights) / eps
+        assert np.array_equal(_pushforward_at_samples(phi, cloud), expected)
 
 
 class TestRankingParity:

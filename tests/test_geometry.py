@@ -95,6 +95,11 @@ class TestGADField:
         assert np.allclose(dx, [2.0, 0.0])
         assert np.allclose(dv, [0.0, 0.0])
 
+    def test_nan_direction_rejected(self):
+        # a NaN norm compares false both ways; the check must not pass it
+        with pytest.raises(ValueError):
+            gad_extended_field(GADState(np.ones(2), np.array([np.nan, 0.0])), quad_grad, quad_hess)
+
 
 class TestMetricFromJacobian:
     def test_stereographic_origin(self):
@@ -384,6 +389,11 @@ class TestISDField:
         g = metric_tensor(np.eye(2))
         with pytest.raises(ValueError):
             isd_field(np.ones(2), np.array([2.0, 0.0]), g)
+
+    def test_nan_direction_rejected(self):
+        g = metric_tensor(np.eye(2))
+        with pytest.raises(ValueError):
+            isd_field(np.array([1.0, 0.0]), np.array([np.nan, 0.0]), g)
 
     def test_saddle_becomes_sink(self):
         # linearization of the reflected quadratic-model field at the origin

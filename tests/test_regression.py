@@ -227,6 +227,34 @@ class TestNuggetSelection:
             assert np.array_equal(reused.weights, fit(x, y, 0.4, nugget).weights)
             assert list(factors) == [nugget]
 
+    @pytest.mark.parametrize("n", [150, regression.MAX_TRIAL_POINTS + 100])
+    def test_assembled_blocks_give_identical_fit(self, rng, n):
+        # the chart force's fit: no kernel handed over, blocks assembled
+        # from the input rows, and phi's factor reused from the dict
+        x = rng.uniform(-1, 1, (n, 2))
+        y = np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
+        factors: dict = {}
+        handed, r2_handed = fit_with_nugget_selection(
+            x, y, 0.4, np.random.default_rng(5), gaussian_kernel(x, x, 0.4), factors
+        )
+        held = factors[handed.nugget]
+        assembled, r2_assembled = fit_with_nugget_selection(
+            x, y, 0.4, np.random.default_rng(5), None, factors
+        )
+        assert r2_assembled == r2_handed and assembled.nugget == handed.nugget
+        assert np.array_equal(assembled.weights, handed.weights)
+        assert list(factors) == [handed.nugget] and factors[handed.nugget] is held
+
+    def test_other_nugget_drops_the_held_factor(self, rng):
+        x = rng.uniform(-1, 1, (120, 2))
+        y = np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
+        held = kernel_factorization(gaussian_kernel(x, x, 0.4), 1e-4)
+        factors = {1e-4: held}
+        model, _ = fit_with_nugget_selection(x, y, 0.4, rng, None, factors)
+        assert model.nugget == 1e-8
+        assert list(factors) == [1e-8]
+        assert np.array_equal(model.weights, fit(x, y, 0.4, 1e-8).weights)
+
     def test_unreachable_target_raises(self, rng):
         x = rng.uniform(-1, 1, (60, 1))
         noise = rng.standard_normal((60, 1))
@@ -253,7 +281,8 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 class TestLayoutBitwise:
-    """Column-major train_inputs and the straight kernel copy change no bit."""
+    """Column-major train_inputs, the straight kernel copy and the in-place
+    factor change no bit."""
 
     def test_fit_stores_column_major_inputs(self, rng):
         x = rng.uniform(-1, 1, (30, 3))
@@ -296,6 +325,8 @@ class TestLayoutBitwise:
     @settings(max_examples=100, deadline=None)
     @given(seeds, st.integers(2, 150), st.integers(1, 4), st.sampled_from(NUGGET_LADDER))
     def test_factor_equals_factor_of_transposing_copy(self, seed, n, p, nugget):
+        # the copying factor, and the in-place one of a C-ordered kernel (a
+        # full kernel or an np.ix_ subset copy) that takes its buffer
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, (n, p))
         kernel = gaussian_kernel(x, x, bandwidth_median_rule(x))
@@ -304,12 +335,17 @@ class TestLayoutBitwise:
             # the Fortran-order copy of K itself transposes a C-ordered K
             system = np.array(k, dtype=float, order="F")
             system[np.diag_indices(k.shape[0])] += nugget
+            own = k.copy()
             try:
                 expected, _ = scipy.linalg.cho_factor(system, lower=True, overwrite_a=True)
             except scipy.linalg.LinAlgError:
-                with pytest.raises(ChartFitError):
-                    kernel_factorization(k, nugget)
+                for overwrite in (False, True):
+                    with pytest.raises(ChartFitError):
+                        kernel_factorization(own, nugget, overwrite_kernel=overwrite)
                 continue
             factor, lower = kernel_factorization(k, nugget)
-            assert lower
+            in_place, in_place_lower = kernel_factorization(own, nugget, overwrite_kernel=True)
+            assert lower and in_place_lower
             assert np.array_equal(factor, expected)
+            assert np.array_equal(in_place, expected)
+            assert np.shares_memory(in_place, own)  # no copy was made
