@@ -30,8 +30,10 @@ from .driver import (
 )
 from .sampling import SamplerConfig
 
-#: per-problem defaults reproducing the reference experiment settings
-PROBLEM_DEFAULTS = {
+#: problem name -> the defaults reproducing the reference experiment
+#: settings, the problem definition, its critical-point oracle and the
+#: search start from the oracle's report
+PROBLEMS = {
     "sphere": {
         "driver": {
             "n_iterations_max": 12,
@@ -44,6 +46,9 @@ PROBLEM_DEFAULTS = {
             "n_samples": 1000,
             "perturbation_scale": 0.15,
         },
+        "problem": benchmarks.sphere_problem,
+        "oracle": benchmarks.sphere_critical_points,
+        "start": benchmarks.sphere_search_start,
     },
     "mb_surface": {
         "driver": {
@@ -57,6 +62,9 @@ PROBLEM_DEFAULTS = {
             "n_samples": 5000,
             "perturbation_scale": 0.15,
         },
+        "problem": benchmarks.surface_problem,
+        "oracle": benchmarks.mb_surface_critical_points,
+        "start": benchmarks.mb_start_point,
     },
 }
 
@@ -73,11 +81,11 @@ class RunConfig:
     output_dir: Path
 
     def __post_init__(self):
-        if self.problem not in PROBLEM_DEFAULTS:
+        if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.mode not in ("learned_chart", "exact_chart"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "exact_chart" and PROBLEMS[self.problem][0]().exact_chart is None:
+        if self.mode == "exact_chart" and PROBLEMS[self.problem]["problem"]().exact_chart is None:
             raise ValueError(f"the {self.problem} problem has no exact chart")
 
 
@@ -94,9 +102,9 @@ def load_run_config(path: str | Path) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
     problem = raw.get("problem")
-    if problem not in PROBLEM_DEFAULTS:
-        raise ValueError(f"config must set problem to one of {sorted(PROBLEM_DEFAULTS)}")
-    defaults = PROBLEM_DEFAULTS[problem]
+    if problem not in PROBLEMS:
+        raise ValueError(f"config must set problem to one of {sorted(PROBLEMS)}")
+    defaults = PROBLEMS[problem]
     driver_raw = _json_object(raw.get("driver", {}), '"driver"')
 
     sampler_kwargs = dict(defaults["sampler"])
@@ -116,25 +124,18 @@ def load_run_config(path: str | Path) -> RunConfig:
     )
 
 
-#: problem name -> (problem definition, critical-point oracle, search start from its report)
-PROBLEMS = {
-    "sphere": (
-        benchmarks.sphere_problem,
-        benchmarks.sphere_critical_points,
-        benchmarks.sphere_search_start,
-    ),
-    "mb_surface": (
-        benchmarks.surface_problem,
-        benchmarks.mb_surface_critical_points,
-        benchmarks.mb_start_point,
-    ),
-}
-
-
 def _problem_bundle(name: str):
-    make_problem, oracle, search_start = PROBLEMS[name]
-    report = oracle()
-    return make_problem(), report, search_start(report)
+    entry = PROBLEMS[name]
+    report = entry["oracle"]()
+    return entry["problem"](), report, entry["start"](report)
+
+
+def _check_writable(output: str | None) -> None:
+    """Open ``output`` for appending and close it, so that a report that
+    cannot be written fails before it is computed; an existing file keeps
+    its content until the report is written."""
+    if output:
+        Path(output).open("a", encoding="utf-8").close()
 
 
 def write_outputs(config: RunConfig, problem, report, trajectory) -> None:
@@ -198,6 +199,8 @@ def run_command(config_file: str) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
 
+    # before the oracle and the search, so that an unwritable output_dir fails fast
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     problem, report, start = _problem_bundle(config.problem)
     trajectory = run_search(problem, start, config.driver, mode=config.mode)
     write_outputs(config, problem, report, trajectory)
@@ -294,6 +297,7 @@ def validate_geometry_command(n_points: int, seed: int, output: str | None) -> i
     if seed < 0:
         print(f"--seed must be at least 0, got {seed}", file=sys.stderr)
         return 1
+    _check_writable(output)
     result = validate_geometry(n_points, seed)
     text = json.dumps(result, indent=2, sort_keys=True)
     if output:
@@ -306,9 +310,9 @@ def oracle_command(problem: str, output: str | None) -> int:
     if problem not in PROBLEMS:
         print(f"unknown problem {problem!r}", file=sys.stderr)
         return 1
-    _, oracle, _ = PROBLEMS[problem]
+    _check_writable(output)
     try:
-        report = oracle()
+        report = PROBLEMS[problem]["oracle"]()
     except Exception as exc:
         print(f"oracle failed: {exc}", file=sys.stderr)
         return 1
@@ -343,12 +347,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return run_command(args.config)
-    if args.command == "validate-geometry":
-        return validate_geometry_command(args.n, args.seed, args.output)
-    if args.command == "oracle":
-        return oracle_command(args.problem, args.output)
+    try:
+        if args.command == "run":
+            return run_command(args.config)
+        if args.command == "validate-geometry":
+            return validate_geometry_command(args.n, args.seed, args.output)
+        if args.command == "oracle":
+            return oracle_command(args.problem, args.output)
+    except OSError as exc:
+        # the commands do no other I/O: run_command reports an unreadable
+        # config itself, and the oracle, search and validation touch no file
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return 1
     return 1
 
 

@@ -77,7 +77,8 @@ def median_bandwidth(sq: np.ndarray) -> float:
     The square root is monotone, so the middle order statistics of the
     squares sit where those of the distances do; the median is then the
     mean of their square roots, as ``np.median(pdist(x))`` computes it, and
-    the result equals ``np.median(pdist(x)) ** 2`` bit for bit.
+    the result equals ``np.median(pdist(x)) ** 2`` bit for bit. A
+    collapsed point set, whose median is 0, raises DegenerateChartError.
     """
     n = sq.shape[0]
     if n < 2:
@@ -105,8 +106,10 @@ def median_bandwidth(sq: np.ndarray) -> float:
         margin *= 4
     inside.partition(tuple(kth))
     # one entry when the pair count is odd, as np.median reads one
-    med = np.mean(np.sqrt(inside[np.unique(kth)]))
-    return float(med ** 2)
+    eps = float(np.mean(np.sqrt(inside[np.unique(kth)])) ** 2)
+    if not eps > 0.0:
+        raise DegenerateChartError(f"median bandwidth {eps} of a collapsed point set")
+    return eps
 
 
 def bandwidth_median_rule(points: np.ndarray) -> float:

@@ -175,34 +175,19 @@ def _pushforward_at_samples(phi: RegressorModel, cloud: PointCloud) -> np.ndarra
     return out
 
 
-def _median_bandwidth(sq: np.ndarray) -> float:
-    """:func:`median_bandwidth`; a collapsed point set has none to give."""
-    eps = median_bandwidth(sq)
-    if not eps > 0.0:
-        raise DegenerateChartError(f"median bandwidth {eps} of a collapsed point set")
-    return eps
-
-
 def _rank_chart_components(points: np.ndarray, dmap: DiffusionMapResult, eps: float) -> list[int]:
     """Chart components, ranked from a provisional fit.
 
     The provisional fit of all embedding components runs on an evenly
     strided subset of at most ``MAX_TRIAL_POINTS`` cloud rows (every row
-    of a smaller cloud) and draws from no generator; its Jacobians at 50
-    cloud points rank the components. A subset's kernel is this fit's own
-    copy and is factored in place; the full kernel is factored in a copy.
+    of a smaller cloud), assembles its own kernel from them and draws from
+    no generator; its Jacobians at 50 cloud points rank the components.
     The quality gate applies to the chart map fitted afterwards, not to
     this fit.
     """
     n = points.shape[0]
     sub = np.unique(np.linspace(0, n - 1, min(n, MAX_TRIAL_POINTS)).astype(int))
-    subset = sub.size < n
-    kernel = dmap.kernel[np.ix_(sub, sub)] if subset else dmap.kernel
-    nugget = 1e-6
-    factorization = regression.kernel_factorization(kernel, nugget, overwrite_kernel=subset)
-    ranking = regression.fit(
-        points[sub], dmap.coordinates[sub], eps, nugget, factorization=factorization
-    )
+    ranking = regression.fit(points[sub], dmap.coordinates[sub], eps, 1e-6)
     eval_idx = np.unique(np.linspace(0, n - 1, min(n, 50)).astype(int))
     jacobians = [ranking.predict_with_derivatives(points[i], order=1)[1] for i in eval_idx]
     return select_chart_components(jacobians)
@@ -215,13 +200,13 @@ def _fit_chart_map_and_force(
 
     One squared-distance matrix of the cloud gives the median bandwidth and
     is then the one N x N buffer of the diffusion map, which returns the
-    kernel in it. The component ranking reads that kernel, and phi's fit
-    takes it over: its full-N Cholesky factor takes the buffer, so at most
-    about one N x N array is live at a time. The pushforward and the chart
-    force's nugget trials assemble the kernel blocks they read from the
-    points. phi's factor goes straight to the chart-force fit through the
-    ``factors`` dict when both pick the same nugget; otherwise the
-    chart-force fit drops it and factors a freshly assembled kernel in place.
+    kernel in it. phi's fit takes that kernel over: its full-N Cholesky
+    factor takes the buffer, so at most about one N x N array is live at a
+    time. The component ranking, the nugget trials and the pushforward
+    assemble the kernel blocks they read from the points. phi's factor goes
+    straight to the chart-force fit through the ``factors`` dict when both
+    pick the same nugget; otherwise the chart-force fit drops it and factors
+    a freshly assembled kernel in place.
     """
     points = cloud.points
     # the Lanczos solve needs n_components + 1 < N
@@ -229,7 +214,7 @@ def _fit_chart_map_and_force(
     if n_components < 1:
         raise DegenerateChartError(f"a cloud of {cloud.size} points has no diffusion coordinates")
     sq = squared_distances(points, points)
-    eps = _median_bandwidth(sq)
+    eps = median_bandwidth(sq)
     dmap = diffusion_maps(points, eps, n_components, sq=sq)
     components = _rank_chart_components(points, dmap, eps)
 
@@ -257,7 +242,7 @@ def build_local_chart(
 
     At most about one N x N array is live at any stage (the cloud's kernel,
     phi's factor in its buffer, then psi's kernel and factor in one buffer),
-    plus the trial fits' blocks and row blocks of the pushforward. Raises
+    plus the smaller fits' kernels and row blocks of the pushforward. Raises
     DegenerateChartError / ChartFitError when the chart cannot be trusted;
     the caller resamples with a fresh seed (at most three attempts).
     """
@@ -267,10 +252,9 @@ def build_local_chart(
     phi, chart_force, chart_samples = _fit_chart_map_and_force(cloud, cfg, iteration, attempt)
 
     # psi's kernel comes from one squared-distance matrix of the chart
-    # samples, like the cloud's; its trial and held-out blocks are
-    # submatrices of it, and its factor takes its buffer
+    # samples, like the cloud's, and its factor takes its buffer
     sq_chart = squared_distances(chart_samples, chart_samples)
-    eps_chart = _median_bandwidth(sq_chart)
+    eps_chart = median_bandwidth(sq_chart)
     psi_kernel = regression.gaussian_kernel(chart_samples, chart_samples, eps_chart, sq=sq_chart)
     rng_psi = np.random.default_rng([cfg.seed, iteration, attempt, 3])
     psi, _ = fit_with_nugget_selection(chart_samples, points, eps_chart, rng_psi, psi_kernel, {})

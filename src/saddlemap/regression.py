@@ -2,13 +2,11 @@
 
 Used three ways in the pipeline: ambient -> chart coordinates (phi), chart ->
 ambient (psi), and the chart force field. Prediction is mean-only: the models
-act as smooth interpolants, never as uncertainty estimates. A chart build
-hands phi and psi the Gaussian kernel it already assembled (the diffusion-map
-kernel of the cloud, psi's kernel of the chart samples): the nugget trials
-read submatrices of it, and the winning nugget's full system is factored in
-its buffer. The chart force, fitted on the cloud after phi's factor has
-taken that buffer, assembles its trial blocks from the inputs; they equal
-the submatrices bit for bit.
+act as smooth interpolants, never as uncertainty estimates. Every kernel
+block a fit reads is assembled from its input rows. A chart build hands phi
+and psi the full Gaussian kernel it already assembled (the diffusion-map
+kernel of the cloud, psi's kernel of the chart samples) only so that the
+winning nugget's full system is factored in its buffer.
 """
 from __future__ import annotations
 
@@ -87,10 +85,11 @@ def fit(
     """Solve (K + nugget I) w = targets for the regression weights.
 
     ``reuse_kernel`` lets the caller supply the Gaussian kernel already
-    assembled for the same inputs and bandwidth; it is taken as given, and
-    only its shape is checked. ``factorization`` may carry a Cholesky factor
-    of (K + nugget I) from :func:`kernel_factorization` to share across fits
-    on the same inputs; the kernel is then not assembled at all.
+    assembled for the same inputs and bandwidth; it is taken as given, only
+    its shape is checked, and it is left unchanged. A kernel assembled here
+    is factored in its own buffer. ``factorization`` may carry a Cholesky
+    factor of (K + nugget I) from :func:`kernel_factorization` to share
+    across fits on the same inputs; the kernel is then not assembled at all.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.asarray(targets, dtype=float)
@@ -108,7 +107,7 @@ def fit(
     elif factorization is None:
         kernel = gaussian_kernel(inputs, inputs, eps)
     if factorization is None:
-        factorization = kernel_factorization(kernel, nugget)
+        factorization = kernel_factorization(kernel, nugget, overwrite_kernel=reuse_kernel is None)
     weights = scipy.linalg.cho_solve(factorization, targets)
     # column-major: predict_with_derivatives sums diff * diff over p down
     # contiguous columns instead of along short rows, in the same order. The
@@ -127,14 +126,14 @@ def kernel_factorization(kernel: np.ndarray, nugget: float, overwrite_kernel: bo
     """Cholesky factorization of (K + nugget I), reusable across targets.
 
     ``kernel`` must equal its own transpose exactly, as every Gaussian
-    self-kernel and every ``np.ix_(idx, idx)`` slice of one does. The
-    factor overwrites a Fortran-order array of ``kernel.T`` with the nugget
-    added to its diagonal. By default that array is a copy: for a C-ordered
-    kernel a straight copy, not a transposing one, holding the same values.
-    With ``overwrite_kernel`` (scipy's ``overwrite_a`` idiom) it is
-    ``kernel.T`` itself, a Fortran-order view of a C-ordered kernel, so the
-    factor takes the kernel's buffer and no N x N copy is made; the kernel
-    must not be read afterwards. Off the diagonal k + 0 = k, so the factor
+    self-kernel does. The factor overwrites a Fortran-order array of
+    ``kernel.T`` with the nugget added to its diagonal. By default that
+    array is a copy: for a C-ordered kernel a straight copy, not a
+    transposing one, holding the same values. With ``overwrite_kernel``
+    (scipy's ``overwrite_a`` idiom) it is ``kernel.T`` itself, a
+    Fortran-order view of a C-ordered kernel, so the factor takes the
+    kernel's buffer and no N x N copy is made; the kernel must not be read
+    afterwards. Off the diagonal k + 0 = k, so the factor
     equals that of ``K + nugget * np.eye(n)`` bit for bit either way.
     """
     system = kernel.T if overwrite_kernel else np.array(kernel.T, dtype=float, order="F")
@@ -149,16 +148,13 @@ def kernel_factorization(kernel: np.ndarray, nugget: float, overwrite_kernel: bo
 
 
 def score(model: RegressorModel, test_inputs: np.ndarray, test_targets: np.ndarray) -> float:
-    """:func:`r_squared` of the model's predictions at ``test_inputs``."""
-    return r_squared(model.predict_batch(test_inputs), test_targets)
-
-
-def r_squared(pred: np.ndarray, test_targets: np.ndarray) -> float:
-    """Coefficient of determination averaged over output components.
+    """Coefficient of determination of the model's predictions at
+    ``test_inputs``, averaged over output components.
 
     A zero-variance component scores 1 when predicted exactly and raises
     otherwise (R^2 is undefined there).
     """
+    pred = model.predict_batch(test_inputs)
     test_targets = np.asarray(test_targets, dtype=float)
     if test_targets.ndim == 1:
         test_targets = test_targets[:, None]
@@ -195,14 +191,13 @@ def fit_with_nugget_selection(
     """Fit with the smallest nugget whose held-out R^2 reaches R2_TARGET.
 
     Trial fits run on an 80/20 split of at most ``MAX_TRIAL_POINTS`` rows:
-    each trains on the block K[tr, tr] and scores the held-out predictions
-    K[te, tr] @ w. The winning nugget is then refit on all rows.
+    each trains on the kernel of the training rows and is scored by its
+    held-out predictions. The winning nugget is then refit on all rows.
 
-    ``kernel`` is the C-ordered Gaussian kernel of ``inputs`` at ``eps``,
-    taken as given and handed over: the blocks are its submatrices, and the
-    winning nugget's full system is factored in its buffer, which the caller
-    must not read afterwards. With ``kernel=None`` the blocks are assembled
-    from the input rows, equal to those submatrices bit for bit.
+    ``kernel`` is None or the C-ordered Gaussian kernel of ``inputs`` at
+    ``eps``, taken as given and handed over: the winning nugget's full
+    system, unless already held in ``factors``, is factored in its buffer,
+    which the caller must not read afterwards.
 
     ``factors`` holds the Cholesky factor of one full system of these inputs
     and ``eps``, keyed by its nugget; the caller creates one dict per input
@@ -224,21 +219,14 @@ def fit_with_nugget_selection(
     tr, te = holdout_split(trial_idx.size, rng)
     tr, te = trial_idx[tr], trial_idx[te]
 
-    def block(rows, cols):
-        if kernel is None:
-            return gaussian_kernel(inputs[rows], inputs[cols], eps)
-        return kernel[np.ix_(rows, cols)]
-
-    trial_kernel = block(tr, tr)
+    trial_kernel = gaussian_kernel(inputs[tr], inputs[tr], eps)
     for nugget in NUGGET_LADDER:
         try:
             model = fit(inputs[tr], targets[tr], eps, nugget, reuse_kernel=trial_kernel)
         except ChartFitError:
             continue
-        # taken after the trial fit, so it never sits beside the trial factor
-        pred = block(te, tr) @ model.weights
         try:
-            r2 = r_squared(pred, targets[te])
+            r2 = score(model, inputs[te], targets[te])
         except ValueError:
             continue
         if r2 >= R2_TARGET:

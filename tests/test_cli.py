@@ -99,6 +99,16 @@ class TestRunCommand:
         assert (tmp_path / "out" / "trajectory.csv").exists()
         assert (tmp_path / "out" / "error.csv").exists()
 
+    def test_unwritable_output_dir_fails_before_the_search(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "out").write_text("a file, not a directory\n")
+        called = []
+        monkeypatch.setattr(cli, "run_search", lambda *args, **kwargs: called.append(args))
+        monkeypatch.setitem(cli.PROBLEMS["sphere"], "oracle", lambda: called.append("oracle"))
+        assert cli.main(["run", str(write_config(tmp_path))]) == 1
+        assert called == []
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write outputs: ") and err.count("\n") == 1
+
     def test_exact_chart_run(self, tmp_path):
         cfg = write_config(tmp_path, mode="exact_chart")
         assert cli.main(["run", str(cfg)]) == 2
@@ -238,6 +248,14 @@ class TestValidateGeometry:
     def test_zero_points_vacuous_pass(self):
         assert cli.main(["validate-geometry", "--n", "0", "--seed", "0"]) == 0
 
+    def test_unwritable_output_fails_before_validating(self, tmp_path, capsys, monkeypatch):
+        called = []
+        monkeypatch.setattr(cli, "validate_geometry", lambda *args: called.append(args))
+        assert cli.main(["validate-geometry", "--n", "1", "--output", str(tmp_path)]) == 1
+        assert called == []
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write outputs: ") and err.count("\n") == 1
+
     def test_negative_points_rejected(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         assert cli.main(["validate-geometry", "--n", "-3", "--output", str(report_path)]) == 1
@@ -264,6 +282,15 @@ class TestOracleCommand:
         report = json.loads(out.read_text())
         assert len(report["points"]) == 5
         assert report["indices"].count(1) == 2
+
+    def test_unwritable_output_fails_before_the_oracle(self, tmp_path, capsys, monkeypatch):
+        called = []
+        monkeypatch.setitem(cli.PROBLEMS["sphere"], "oracle", lambda: called.append("oracle"))
+        output = tmp_path / "missing" / "sphere.json"
+        assert cli.main(["oracle", "sphere", "--output", str(output)]) == 1
+        assert called == []
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write outputs: ") and err.count("\n") == 1
 
     def test_unknown_problem(self, capsys):
         assert cli.main(["oracle", "klein_bottle"]) == 1

@@ -52,6 +52,11 @@ class TestBandwidthMedianRule:
         with pytest.raises(ValueError):
             bandwidth_median_rule(np.zeros((1, 2)))
 
+    def test_collapsed_points_rejected(self):
+        pts = np.array([[0.3, -0.2], [0.3, -0.2]])
+        with pytest.raises(DegenerateChartError, match="collapsed point set"):
+            median_bandwidth(squared_distances(pts, pts))
+
 
 class TestSharedDistances:
     # 15 and 1225 pairs (odd count), 10 and 820 pairs (even count)
@@ -185,17 +190,26 @@ class TestOneBufferProperties:
         assert np.array_equal(gaussian_kernel(pts[rows], pts[cols], eps), kernel[np.ix_(rows, cols)])
         assert np.array_equal(gaussian_kernel(pts[start:stop], pts, eps), kernel[start:stop])
 
+    @staticmethod
+    def check_median_equals_pdist_median(pts):
+        # a zero median has no bandwidth to give, and is refused
+        expected = float(np.median(pdist(pts)) ** 2)
+        sq = squared_distances(pts, pts)
+        if expected > 0.0:
+            assert median_bandwidth(sq) == expected
+        else:
+            with pytest.raises(DegenerateChartError, match="collapsed point set"):
+                median_bandwidth(sq)
+
     @settings(max_examples=200, deadline=None)
     @given(clouds)
     def test_median_equals_pdist_median(self, pts):
-        expected = float(np.median(pdist(pts)) ** 2)
-        assert median_bandwidth(squared_distances(pts, pts)) == expected
+        self.check_median_equals_pdist_median(pts)
 
     @settings(max_examples=200, deadline=None)
     @given(grid_clouds)
     def test_median_with_duplicate_points(self, pts):
-        expected = float(np.median(pdist(pts)) ** 2)
-        assert median_bandwidth(squared_distances(pts, pts)) == expected
+        self.check_median_equals_pdist_median(pts)
 
     @pytest.mark.parametrize("n", [400, 401])
     def test_median_bracket_widens_when_the_sample_misses(self, rng, monkeypatch, n):

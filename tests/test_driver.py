@@ -185,10 +185,10 @@ class TestChartBuildMemory:
             tracemalloc.stop()
 
     def test_traced_peak_bounded(self):
-        # one N x N array per stage; at N = 2000 the ranking fit factors a
-        # copy of the full kernel (MAX_TRIAL_POINTS rows), and the 1600-row
-        # trial fits beside the kernel bring the traced peak to ~2.4 N x N
-        # arrays
+        # one N x N array per stage; at N = 2000 the ranking fit assembles
+        # and factors its own kernel of all MAX_TRIAL_POINTS rows beside the
+        # cloud's, and the 1600-row trial fits beside the kernel bring the
+        # traced peak to ~2.4 N x N arrays
         n = 2000
         assert self.traced_peak(n) <= 3.0 * 8 * n * n
 
@@ -253,11 +253,10 @@ class TestPushforwardBlocks:
 
 
 class TestRankingParity:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_subset_ranking_matches_full_fit(self, seed):
+    @staticmethod
+    def check_ranking_matches_full_fit(n, seed):
         # the first Mueller-Brown cloud of driver seed `seed`, as
         # build_local_chart samples it
-        n = 3000
         cfg = mb_chart_cfg(n, seed)
         points = sample_cloud(
             benchmarks.surface_problem(), benchmarks.mb_start_point(), cfg.sampler,
@@ -266,14 +265,28 @@ class TestRankingParity:
         sq = squared_distances(points, points)
         eps = median_bandwidth(sq)
         dmap = diffusion_maps(points, eps, N_DMAP_COMPONENTS, sq=sq)
+        kernel = dmap.kernel.copy()
 
         full = regression.fit(points, dmap.coordinates, eps, 1e-6, reuse_kernel=dmap.kernel)
         eval_idx = np.unique(np.linspace(0, n - 1, 50).astype(int))
         jacobians = [full.predict_with_derivatives(points[i], order=1)[1] for i in eval_idx]
         reference = select_chart_components(jacobians)
 
-        assert n > MAX_TRIAL_POINTS
         assert _rank_chart_components(points, dmap, eps) == reference
+        # phi's full factor still reads the cloud kernel after the ranking
+        assert np.array_equal(dmap.kernel, kernel)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_subset_ranking_matches_full_fit(self, seed):
+        assert 3000 > MAX_TRIAL_POINTS
+        self.check_ranking_matches_full_fit(3000, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ranking_within_trial_cap_matches_full_fit(self, seed):
+        # a cloud of at most MAX_TRIAL_POINTS rows, as on the sphere: the
+        # ranking fit reads every row
+        assert 1000 <= MAX_TRIAL_POINTS
+        self.check_ranking_matches_full_fit(1000, seed)
 
 
 class TestLearnedStep:

@@ -41,6 +41,31 @@ class TestFit:
         without = fit(x, x[:, :2], eps, 1e-8)
         assert np.array_equal(with_reuse.weights, without.weights)
 
+    def test_reused_kernel_left_unchanged(self, rng):
+        # the nugget trials hand one trial kernel to every nugget's fit
+        x = rng.uniform(-1, 1, (40, 2))
+        kernel = gaussian_kernel(x, x, 0.4)
+        before = kernel.copy()
+        for nugget in NUGGET_LADDER:
+            fit(x, x[:, :1], 0.4, nugget, reuse_kernel=kernel)
+        assert np.array_equal(kernel, before)
+
+    def test_only_own_kernel_factored_in_place(self, rng, monkeypatch):
+        x = rng.uniform(-1, 1, (40, 2))
+        kernel = gaussian_kernel(x, x, 0.4)
+        overwrites = []
+        factor = regression.kernel_factorization
+
+        def recording(kernel, nugget, overwrite_kernel=False):
+            overwrites.append(overwrite_kernel)
+            return factor(kernel, nugget, overwrite_kernel=overwrite_kernel)
+
+        monkeypatch.setattr(regression, "kernel_factorization", recording)
+        own = fit(x, x[:, :1], 0.4, 1e-8)
+        reused = fit(x, x[:, :1], 0.4, 1e-8, reuse_kernel=kernel)
+        assert overwrites == [True, False]
+        assert np.array_equal(own.weights, reused.weights)
+
     def test_duplicate_inputs_zero_nugget_raises(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ChartFitError):
@@ -200,9 +225,9 @@ class TestNuggetSelection:
         assert r2 >= 0.99
 
     def test_reused_kernel_gives_identical_fit(self, rng):
-        # trial and held-out blocks taken as submatrices of the supplied
-        # kernel equal the kernels assembled from the split's rows, also
-        # when the trials run on a row subset
+        # a supplied kernel changes no trial and no full fit: each equals a
+        # fit on the split's rows and a fit on all rows, also when the
+        # trials run on a row subset
         for n in (150, regression.MAX_TRIAL_POINTS + 100):
             x = rng.uniform(-1, 1, (n, 2))
             y = np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
@@ -229,8 +254,8 @@ class TestNuggetSelection:
 
     @pytest.mark.parametrize("n", [150, regression.MAX_TRIAL_POINTS + 100])
     def test_assembled_blocks_give_identical_fit(self, rng, n):
-        # the chart force's fit: no kernel handed over, blocks assembled
-        # from the input rows, and phi's factor reused from the dict
+        # the chart force's fit: no kernel handed over, and phi's factor
+        # reused from the dict
         x = rng.uniform(-1, 1, (n, 2))
         y = np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
         factors: dict = {}
