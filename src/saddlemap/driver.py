@@ -79,6 +79,8 @@ class ProblemDefinition:
 
 @dataclass(frozen=True)
 class DriverConfig:
+    # n_iterations_max caps the charts; n_iterations_max * n_ode_steps Euler
+    # steps are the search's one step budget, shared by its charts
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     n_iterations_max: int = 12
     n_ode_steps: int = 1000
@@ -279,7 +281,8 @@ def integrate_isd_on_chart(
     ``chart`` is a :class:`LocalChart` or a problem's exact chart; its
     ``evaluate`` is called once per step. Stops on the index-1 convergence
     certificate, when ``chart.clearance`` turns negative (psi(u) has left
-    the trusted region), or on the step budget. Geometry failures
+    the trusted region), or after ``cfg.n_ode_steps`` steps (the search
+    passes what is left of its budget there). Geometry failures
     mid-trajectory close the record with exit reason 'degenerate'.
 
     The distance to the cloud is 1-Lipschitz, so psi(u) closer to the point
@@ -364,6 +367,11 @@ def run_search(
 ) -> SearchTrajectory:
     """Full saddle search: chart learning and integration until convergence.
 
+    Each chart integrates with what is left of the search's budget of
+    ``n_iterations_max * n_ode_steps`` Euler steps and is one record; it is
+    relearned only when the ambient check rejects its certificate, or its
+    trajectory leaves the trust region or degenerates.
+
     The mode only picks where each iteration's chart comes from:
     ``mode='exact_chart'`` bypasses sampling and regression and runs the same
     loop on the problem's closed-form chart (oracle mode), where a degenerate
@@ -384,6 +392,7 @@ def run_search(
     # residual rejects a chart-level convergence, so the next chart walks
     # closer to its own fixed point instead of re-firing immediately
     chart_tol = cfg.tol_force
+    steps_left = cfg.n_iterations_max * cfg.n_ode_steps
 
     for iteration in range(1, cfg.n_iterations_max + 1):
         chart = None  # free the last chart first: kept through the next build, it raises peak RSS
@@ -393,10 +402,10 @@ def run_search(
             verdict = VERDICT_FAILED
             break
 
-        record = integrate_isd_on_chart(
-            chart, chart.to_chart(x), dataclasses.replace(cfg, tol_force=chart_tol), iteration
-        )
+        chart_cfg = dataclasses.replace(cfg, tol_force=chart_tol, n_ode_steps=steps_left)
+        record = integrate_isd_on_chart(chart, chart.to_chart(x), chart_cfg, iteration)
         records.append(record)
+        steps_left -= len(record.chart_trajectory) - 1
 
         if record.exit_reason == EXIT_DEGENERATE and mode == "exact_chart":
             verdict = VERDICT_FAILED  # the same chart would fail the same way again
@@ -414,6 +423,8 @@ def run_search(
                 verdict = VERDICT_SADDLE_FOUND
                 break
             chart_tol = max(0.8 * chart_tol, 1e-3 * cfg.tol_force)
+        if steps_left == 0:
+            break  # the search's step budget is spent
 
     if verdict != VERDICT_SADDLE_FOUND:
         residual = float(np.linalg.norm(problem.force(x)))

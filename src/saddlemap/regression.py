@@ -99,6 +99,8 @@ def fit(
         raise ValueError(f"bandwidth must be positive, got {eps}")
     if nugget < 0:
         raise ValueError(f"nugget must be nonnegative, got {nugget}")
+    if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
+        raise ValueError("inputs and targets must be finite")
     if reuse_kernel is not None:
         kernel = np.asarray(reuse_kernel, dtype=float)
         n = inputs.shape[0]
@@ -108,7 +110,7 @@ def fit(
         kernel = gaussian_kernel(inputs, inputs, eps)
     if factorization is None:
         factorization = kernel_factorization(kernel, nugget, overwrite_kernel=reuse_kernel is None)
-    weights = scipy.linalg.cho_solve(factorization, targets)
+    weights = scipy.linalg.cho_solve(factorization, targets, check_finite=False)
     # column-major: predict_with_derivatives sums diff * diff over p down
     # contiguous columns instead of along short rows, in the same order. The
     # values and, for q >= 2 outputs, the derivatives equal those of C-ordered
@@ -135,16 +137,23 @@ def kernel_factorization(kernel: np.ndarray, nugget: float, overwrite_kernel: bo
     kernel's buffer and no N x N copy is made; the kernel must not be read
     afterwards. Off the diagonal k + 0 = k, so the factor
     equals that of ``K + nugget * np.eye(n)`` bit for bit either way.
+    A NaN or inf in the triangle read reaches its row's diagonal in the
+    factor, or stays in the system if factoring stops: ValueError either way.
     """
     system = kernel.T if overwrite_kernel else np.array(kernel.T, dtype=float, order="F")
     diag = np.arange(system.shape[0])
     system[diag, diag] += nugget
     try:
-        return scipy.linalg.cho_factor(system, lower=True, overwrite_a=True)
+        factor = scipy.linalg.cho_factor(system, lower=True, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
+        if not np.all(np.isfinite(system)):
+            raise ValueError("kernel system has non-finite entries") from exc
         raise ChartFitError(
             f"kernel system singular at nugget {nugget}: {exc}"
         ) from exc
+    if not np.all(np.isfinite(factor[0][diag, diag])):
+        raise ValueError("kernel system has non-finite entries")
+    return factor
 
 
 def score(model: RegressorModel, test_inputs: np.ndarray, test_targets: np.ndarray) -> float:

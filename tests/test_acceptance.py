@@ -4,8 +4,9 @@ Criterion 2 (sphere search) starts where the paper's reactant sits: near, not
 on, a stable equilibrium. The start is the sink nearest (1, 1, -1)/sqrt(3)
 moved 0.2 along the e1 tangent and projected back onto the sphere, the same
 reactant as the long run in test_driver.py and the sphere_learned benchmark.
-The search runs twelve charts of 1e3 explicit-Euler steps at dt = 1e-3 (flow
-time 12), with N = 1000, perturbation scale 0.15 and force tolerance 1e-3.
+The search runs at most twelve charts on one budget of 12 x 1e3 explicit-Euler
+steps at dt = 1e-3 (flow time 12), with N = 1000, perturbation scale 0.15 and
+force tolerance 1e-3.
 At least four of seeds 0-4 must reach an oracle saddle within 5e-2, with
 verdict saddle_found, a smaller saddle distance than after the first chart,
 under 300 s per seed, and within 1e-2 of the closed-form chart's endpoint
@@ -14,8 +15,9 @@ from the same start, so a pass cannot come from learning error.
 The exact sink is no start for this criterion. Gentlest ascent dynamics
 cannot leave an equilibrium: the force vanishes there, and the covariant
 Hessian is isotropic (1.1547 I), so no softest mode exists either. And at
-dt = 1e-4 twelve charts give a flow time of 1.2, while the sink-to-saddle
-geodesic is ~0.955 rad and the field speed is bounded by ~0.577. The
+dt = 1e-4 the budget of 12 x 1e3 steps gives a flow time of 1.2, while the
+sink-to-saddle geodesic is ~0.955 rad and the field speed is bounded by
+~0.577. The
 companion test keeps those settings (exact sink, dt = 1e-4) and asserts the
 obstruction with the closed-form chart, where no learning error exists. The
 `saddlemap run` sphere defaults in cli.py use criterion 2's start
@@ -46,7 +48,8 @@ def report(criterion, ok, detail):
 
 
 def sphere_search_config(seed):
-    # criterion 2: twelve charts of 1000 steps at dt = 1e-3, flow time 12
+    # criterion 2: at most twelve charts sharing 12 x 1000 steps at dt = 1e-3,
+    # flow time 12
     return DriverConfig(
         sampler=SamplerConfig(n_samples=1000, perturbation_scale=0.15, method="flow"),
         n_iterations_max=12,
@@ -58,7 +61,7 @@ def sphere_search_config(seed):
 
 
 def sphere_sink_budget_config(seed):
-    # companion test: twelve charts of 1000 steps at dt = 1e-4, flow time 1.2
+    # companion test: 12 x 1000 steps at dt = 1e-4, flow time 1.2
     return DriverConfig(
         sampler=SamplerConfig(n_samples=1000, perturbation_scale=0.15, method="flow"),
         n_iterations_max=12,
@@ -70,6 +73,7 @@ def sphere_sink_budget_config(seed):
 
 
 def mb_config(seed):
+    # criterion 3: at most ten charts sharing 10 x 1000 steps at dt = 1e-4
     return DriverConfig(
         sampler=SamplerConfig(n_samples=5000, perturbation_scale=0.15, method="flow"),
         n_iterations_max=10,
@@ -138,7 +142,7 @@ class TestCriterion2SphereSearch:
     def test_exact_field_cannot_reach_saddle_in_budget(self):
         # companion measurement backing the sink analysis: from the exact sink
         # at dt = 1e-4, even closed-form geometry (no learning error) leaves
-        # the trajectory at the sink after twelve iterations
+        # the trajectory at the sink after its 12 000 steps
         problem = benchmarks.sphere_problem()
         rep = benchmarks.sphere_critical_points()
         start = benchmarks.sphere_start_point(rep)

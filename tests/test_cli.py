@@ -38,13 +38,17 @@ def write_config(tmp_path, **overrides):
 class TestRunCommand:
     def test_outputs_and_exit_code(self, tmp_path):
         code = cli.main(["run", str(write_config(tmp_path))])
-        assert code == 2  # two 60-step charts (flow time 0.12) cannot reach the saddle
+        # the search's budget of 2 x 60 steps (flow time 0.12) cannot reach
+        # the saddle, and it is spent on one chart the trajectory never leaves
+        assert code == 2
         out = tmp_path / "out"
         for name in ("trajectory.csv", "summary.json", "error.csv"):
             assert (out / name).exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["verdict"] == "max_iterations"
-        assert summary["iterations"] == 2
+        assert summary["iterations"] == 1
+        rows = (out / "trajectory.csv").read_text().strip().split("\n")
+        assert len(rows) == 1 + 121
 
     def test_csv_consistency(self, tmp_path):
         cli.main(["run", str(write_config(tmp_path))])

@@ -11,11 +11,13 @@ from saddlemap.errors import DegenerateChartError
 from saddlemap.driver import (
     DriverConfig,
     EXIT_CONVERGED,
+    EXIT_DEGENERATE,
     EXIT_STEP_BUDGET,
     EXIT_TRUST_REGION,
     MAX_TRIAL_POINTS,
     N_DMAP_COMPONENTS,
     VERDICT_FAILED,
+    VERDICT_MAX_ITERATIONS,
     VERDICT_SADDLE_FOUND,
     _derive_seed,
     _pushforward_at_samples,
@@ -445,6 +447,98 @@ class TestRunSearch:
         problem = dataclasses.replace(SPHERE, exact_chart=None)
         with pytest.raises(ValueError):
             run_search(problem, np.array([1.0, 0.0, 0.0]), small_cfg(), mode="exact_chart")
+
+
+class DiscChart(QuadraticSaddleChart):
+    """The quadratic saddle's chart, trusted within ``radius`` of its base."""
+
+    def __init__(self, base, radius):
+        super().__init__()
+        self.base, self.radius = np.array(base, dtype=float), radius
+
+    def clearance(self, x):
+        return self.radius - float(np.linalg.norm(x - self.base))
+
+
+class TestSearchStepBudget:
+    """One budget of n_iterations_max * n_ode_steps Euler steps per search."""
+
+    @staticmethod
+    def search(monkeypatch, make_chart, cfg, problem=None):
+        # learned mode with build_local_chart replaced: make_chart(base,
+        # number of charts built so far) gives each chart
+        bases = []
+
+        def build(problem, base, cfg, iteration, attempt):
+            bases.append(np.array(base))
+            return make_chart(base, len(bases) - 1)
+
+        monkeypatch.setattr(driver, "build_local_chart", build)
+        problem = problem or flat_problem(force=quadratic_saddle_force)
+        return run_search(problem, np.array([0.3, 0.2]), cfg), bases
+
+    def test_chart_that_stays_inside_is_built_once(self, monkeypatch):
+        cfg = small_cfg(n_iterations_max=3, n_ode_steps=50, ode_dt=1e-3, tol_force=1e-12)
+        traj, bases = self.search(monkeypatch, lambda base, k: QuadraticSaddleChart(), cfg)
+        assert len(bases) == 1
+        assert len(traj.records) == 1
+        assert len(traj.records[0].chart_trajectory) == 3 * 50 + 1
+        assert traj.records[0].exit_reason == EXIT_STEP_BUDGET
+        assert traj.verdict == VERDICT_MAX_ITERATIONS
+
+    def test_chart_left_through_trust_region_is_relearned_at_projected_end(self, monkeypatch):
+        # a projection that moves points, so project(x_end) differs from x_end
+        problem = dataclasses.replace(flat_problem(force=quadratic_saddle_force),
+                                      project=lambda x: np.round(x, 3))
+        cfg = small_cfg(n_iterations_max=3, n_ode_steps=100, ode_dt=1e-2, tol_force=1e-12)
+        traj, bases = self.search(monkeypatch, lambda base, k: DiscChart(base, 0.05), cfg,
+                                  problem=problem)
+        first, second = traj.records[:2]
+        assert first.exit_reason == EXIT_TRUST_REGION
+        x_end = first.ambient_trajectory[-1]
+        assert not np.array_equal(x_end, np.round(x_end, 3))
+        assert np.array_equal(bases[1], np.round(x_end, 3))
+        assert np.array_equal(second.chart_trajectory[0], bases[1])
+
+    @pytest.mark.parametrize("pattern", ["dddd", "tdtd", "dttt", "tttt", "sddd"])
+    def test_steps_and_charts_within_budget(self, monkeypatch, pattern):
+        # d: a chart that fails its first step; t: one left through its trust
+        # region after a few steps; s: one that never leaves (the budget ends it)
+        def make_chart(base, k):
+            kind = pattern[k]
+            if kind == "d":
+                return QuadraticSaddleChart(psi=[[1.0, 0.0], [0.0, 0.0]])
+            return DiscChart(base, 0.05 if kind == "t" else np.inf)
+
+        cfg = small_cfg(n_iterations_max=4, n_ode_steps=6, ode_dt=1e-2, tol_force=1e-12)
+        traj, bases = self.search(monkeypatch, make_chart, cfg)
+        steps = [len(r.chart_trajectory) - 1 for r in traj.records]
+        assert len(bases) == len(traj.records) <= 4
+        assert sum(steps) <= 4 * 6
+        exits = [r.exit_reason for r in traj.records]
+        expected = [{"d": EXIT_DEGENERATE, "t": EXIT_TRUST_REGION}.get(kind, EXIT_STEP_BUDGET)
+                    for kind in pattern[:len(exits)]]
+        if sum(steps) == 4 * 6:
+            # the chart that spends the budget ends the search on it
+            expected[-1] = EXIT_STEP_BUDGET
+        assert exits == expected
+        assert traj.verdict == VERDICT_MAX_ITERATIONS
+
+    @pytest.mark.parametrize("mode", ["learned_chart", "exact_chart"])
+    def test_single_chart_search_is_one_integration(self, mode):
+        # n_iterations_max = 1 leaves the chart the whole n_ode_steps budget,
+        # as a direct integration gets it
+        cfg = small_cfg(n_iterations_max=1, n_ode_steps=150, ode_dt=1e-3)
+        start = SPHERE.project(np.array([0.9, 0.9, -1.2]))
+        traj = run_search(SPHERE, start, cfg, mode=mode)
+        chart = CHART if mode == "exact_chart" else build_local_chart(SPHERE, start, cfg)
+        direct = integrate_isd_on_chart(chart, chart.to_chart(SPHERE.project(start)), cfg)
+        (record,) = traj.records
+        assert record.exit_reason == direct.exit_reason
+        for name in ("chart_trajectory", "ambient_trajectory", "step_force_norms",
+                     "step_lambda_mins"):
+            assert np.array_equal(getattr(record, name), getattr(direct, name))
+        assert np.array_equal(record.spectrum, direct.spectrum)
 
 
 @pytest.mark.slow

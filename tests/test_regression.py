@@ -67,9 +67,12 @@ class TestFit:
         assert np.array_equal(own.weights, reused.weights)
 
     def test_duplicate_inputs_zero_nugget_raises(self):
+        # a singular finite system is a ChartFitError, own or reused kernel
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ChartFitError):
             fit(x, x, eps=1.0, nugget=0.0)
+        with pytest.raises(ChartFitError):
+            fit(x, x, eps=1.0, nugget=0.0, reuse_kernel=gaussian_kernel(x, x, 1.0))
 
     def test_invalid_hyperparameters(self, rng):
         x = rng.uniform(-1, 1, (4, 1))
@@ -79,6 +82,27 @@ class TestFit:
             fit(x, x, eps=1.0, nugget=-1e-8)
         with pytest.raises(ValueError):
             fit(x, x, eps=1.0, nugget=1e-8, reuse_kernel=np.eye(3))
+
+    @pytest.mark.parametrize("where", ["inputs", "targets"])
+    def test_non_finite_data_raises(self, rng, where):
+        x = rng.uniform(-1, 1, (20, 2))
+        data = {"inputs": x.copy(), "targets": x[:, :1].copy()}
+        data[where][7, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit(data["inputs"], data["targets"], eps=0.5, nugget=1e-8)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_non_finite_reused_kernel_raises(self, rng, value, n):
+        # a non-finite entry either reaches its row's diagonal in the factor
+        # or stops the factorization early; both are a ValueError, not a
+        # singular system
+        x = rng.uniform(-1, 1, (n, 2))
+        for i, j in [(n - 1, 0), (2, 2), (n // 2, 1)]:
+            kernel = gaussian_kernel(x, x, 0.5)
+            kernel[i, j] = kernel[j, i] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                fit(x, x[:, :1], 0.5, 1e-6, reuse_kernel=kernel)
 
 
 class TestFactorization:
