@@ -307,7 +307,7 @@ def integrate_isd_on_chart(
     anchor, anchor_clearance = None, 0.0
     for step in range(cfg.n_ode_steps + 1):
         try:
-            if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e8:
+            if not np.abs(u).max() <= 1e8:  # a NaN fails too
                 raise DegenerateChartError(f"chart coordinates diverged at step {step}")
             geo = chart.evaluate(u)
             lam, v, spectrum = smallest_eigpair(geo.hessian, geo.metric, prev_v=prev_v)

@@ -10,7 +10,9 @@ Index conventions
 * ``MetricTensor.g[i, j]`` is g_ij, ``g_inv[i, j]`` is g^ij.
 * A metric derivative ``dg[i, j, k]`` is d g_ij / d u^k; the derivative axis
   is last, as :func:`central_difference` returns it.
-* ``christoffel(g_inv, dg)[l, j, k]`` is Gamma^l_jk, symmetric in (j, k).
+* ``christoffel(g_inv, dg)[l, j, k]`` is Gamma^l_jk, symmetric in (j, k);
+  ``pullback_christoffel(g_inv, jac, second)`` is the same tensor for the
+  pullback metric, from the parameterization's derivatives.
 * ``covariant_hessian`` and ``ChartGeometry.hessian`` are the symmetric (0,2)
   form h_ij; the (1,1) form acting on tangent vectors is ``g_inv @ h``.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dsygvd
+from scipy.linalg.lapack import dgesdd, dpotrf, dpotri, dsygvd
 
 from .errors import DegenerateChartError, NonFiniteEvaluationError
 
@@ -60,6 +62,13 @@ def _as_vector(v) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     return v
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the small array ``a`` is finite, from its sum:
+    a NaN or inf entry makes the sum NaN or inf. Entries so large that their
+    sum overflows count as non-finite too; no metric survives them."""
+    return math.isfinite(a.sum())
 
 
 def _inner(a: Vector, b: Vector, g: Optional[MetricTensor]) -> float:
@@ -113,25 +122,37 @@ def gad_extended_field(
 def metric_from_jacobian(jac_psi: np.ndarray) -> MetricTensor:
     """Pullback metric g = Dpsi^T Dpsi of the parameterization Jacobian.
 
-    Raises DegenerateChartError when Dpsi is (numerically) rank deficient:
-    a degenerate chart means the coordinates are bad, not that the metric
-    should be regularized.
+    Raises NonFiniteEvaluationError when Dpsi holds a NaN or inf, and
+    DegenerateChartError when Dpsi is (numerically) rank deficient or g is
+    not positive definite: a degenerate chart means the coordinates are bad,
+    not that the metric should be regularized.
+
+    Calls LAPACK directly, without numpy's wrappers: dgesdd (singular values
+    only) for the rank check, dpotrf for the Cholesky factor of g, whose
+    info is the positive-definiteness check, and dpotri for g^-1 from it.
     """
-    jac = np.asarray(jac_psi, dtype=float)
+    jac = np.ascontiguousarray(jac_psi, dtype=float)
     if jac.ndim != 2:
         raise ValueError(f"expected an n x d Jacobian, got shape {jac.shape}")
-    sv = np.linalg.svd(jac, compute_uv=False)
+    # checked first: a NaN singular value would pass the rank check
+    if not _all_finite(jac):
+        raise NonFiniteEvaluationError("non-finite chart Jacobian")
+    sv = dgesdd(jac.T, compute_uv=0)[1]
     if sv[-1] < 1e-10 * sv[0] or sv[0] == 0.0:
         raise DegenerateChartError(
             f"rank-deficient chart Jacobian, singular values {sv}"
         )
+    # exactly symmetric: numpy forms a contiguous array times its own
+    # transpose from one triangle (BLAS syrk)
     g = jac.T @ jac
-    g = 0.5 * (g + g.T)
-    g_inv = np.linalg.inv(g)
-    g_inv = 0.5 * (g_inv + g_inv.T)
-    eigvals = np.linalg.eigvalsh(g)
-    if eigvals[0] <= 0.0:
-        raise DegenerateChartError(f"metric not positive definite, spectrum {eigvals}")
+    factor, info = dpotrf(g, lower=1)
+    if info != 0:
+        raise DegenerateChartError(f"metric not positive definite, dpotrf info {info}")
+    # dpotri fills the lower triangle of g^-1 and leaves the upper one zero
+    lower = dpotri(factor, lower=1, overwrite_c=1)[0]
+    g_inv = lower + lower.T
+    diag = slice(None, None, g.shape[0] + 1)
+    g_inv.flat[diag] = lower.flat[diag]
     return MetricTensor(g=g, g_inv=g_inv)
 
 
@@ -176,9 +197,9 @@ def covariant_hessian(g: MetricTensor, gamma: np.ndarray, y: Vector, dy: np.ndar
     exact gradient, while the true covariant Hessian of a scalar is
     symmetric. The (1,1) form acting on tangent vectors is ``g.g_inv @ h``.
     """
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dy))):
+    if not (_all_finite(y) and _all_finite(dy)):
         raise NonFiniteEvaluationError("non-finite force evaluation")
-    h = g.g @ -(dy + np.einsum("ijl,l->ij", gamma, y))
+    h = g.g @ -(dy + gamma @ y)
     return 0.5 * (h + h.T)
 
 
@@ -251,6 +272,22 @@ def _metric_jacobian(jac: np.ndarray, second: np.ndarray) -> np.ndarray:
     return term + term.transpose(1, 0, 2)
 
 
+def pullback_christoffel(g_inv: np.ndarray, jac: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Gamma^l_jk of the pullback metric g = Dpsi^T Dpsi, by the Gauss formula.
+
+    Gamma^l_jk = sum_i g^li sum_c (d_i psi_c) (d_j d_k psi_c)
+
+    from g^-1, the Jacobian jac[c, i] = d psi_c / d u^i and the second
+    derivatives second[c, j, k]; it equals ``christoffel(g_inv, dg)`` for the
+    metric derivative of g, to rounding, without forming dg.
+    """
+    if not _all_finite(second):
+        raise NonFiniteEvaluationError("non-finite second derivative of the parameterization")
+    q, p = jac.shape
+    gamma = ((g_inv @ jac.T) @ second.reshape(q, p * p)).reshape(p, p, p)
+    return 0.5 * (gamma + gamma.transpose(0, 2, 1))  # enforce lower-index symmetry exactly
+
+
 class GeometryField:
     """Metric, force, and covariant Hessian over a learned chart.
 
@@ -258,8 +295,10 @@ class GeometryField:
     parameterization ``psi`` (chart -> ambient) and ``chart_force`` (ambient
     point -> chart components of the force). :meth:`evaluate` derives every
     geometric quantity analytically from one order-2 prediction of psi and
-    one order-1 prediction of the chart force at psi(u); the force Jacobian
-    is composed by the chain rule.
+    one order-1 prediction of the chart force at psi(u): the metric from
+    Dpsi, the Christoffel symbols from Dpsi and D^2psi by the Gauss formula
+    (no metric derivative is formed), and the force Jacobian by the chain
+    rule.
 
     All outputs are pure functions of u; instances hold no mutable state.
     """
@@ -269,9 +308,10 @@ class GeometryField:
         self.chart_force = chart_force
 
     def evaluate(self, u: np.ndarray) -> ChartGeometry:
+        """psi(u), the metric, the chart force and the covariant Hessian at u."""
         x_amb, jac_psi, second = self.psi.predict_with_derivatives(u, order=2)
         g = metric_from_jacobian(jac_psi)
-        gamma = christoffel(g.g_inv, _metric_jacobian(jac_psi, second))
+        gamma = pullback_christoffel(g.g_inv, jac_psi, second)
         y, jac_amb, _ = self.chart_force.predict_with_derivatives(x_amb, order=1)
         hess = covariant_hessian(g, gamma, y, jac_amb @ jac_psi)
         return ChartGeometry(ambient=x_amb, metric=g, force=y, hessian=hess)
@@ -289,7 +329,9 @@ class GeometryField:
         return _metric_jacobian(jac, second)
 
     def christoffel(self, u: np.ndarray) -> np.ndarray:
-        return christoffel(self.metric(u).g_inv, self.metric_jacobian(u))
+        """The symbols :meth:`evaluate` uses, bit for bit."""
+        _, jac, second = self.psi.predict_with_derivatives(u, order=2)
+        return pullback_christoffel(metric_from_jacobian(jac).g_inv, jac, second)
 
     def force(self, u: np.ndarray) -> np.ndarray:
         return self.evaluate(u).force

@@ -54,6 +54,11 @@ class RegressorModel:
         jacobian[a, b] = sum_i w[i, a] * (-k_i (x - x_i)_b / eps)
         second[a, b, c]= sum_i w[i, a] * k_i ((x-x_i)_b (x-x_i)_c / eps^2
                                               - delta_bc / eps)
+
+        The second derivative is one BLAS product of the weighted kernel with
+        the (N, p^2) row outer products, minus value[a] delta_bc / eps (the
+        sum of k_i w[i, a] is the value). Order 2 returns the value and
+        Jacobian of order 1 bit for bit.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order}")
@@ -68,9 +73,12 @@ class RegressorModel:
             jacobian = -(kw.T @ diff) / self.bandwidth_eps
         if order >= 2:
             eps = self.bandwidth_eps
-            outer = np.einsum("ib,ic->ibc", diff, diff) / eps ** 2
-            outer -= np.eye(x.shape[0])[None, :, :] / eps
-            second = np.einsum("ia,ibc->abc", kw, outer)
+            n, p = diff.shape
+            outer = (diff[:, :, None] * diff[:, None, :]).reshape(n, p * p)
+            second = kw.T @ outer
+            second /= eps ** 2
+            second[:, :: p + 1] -= (value / eps)[:, None]  # the (b, b) columns
+            second = second.reshape(-1, p, p)
         return value, jacobian, second
 
 
@@ -112,10 +120,13 @@ def fit(
         factorization = kernel_factorization(kernel, nugget, overwrite_kernel=reuse_kernel is None)
     weights = scipy.linalg.cho_solve(factorization, targets, check_finite=False)
     # column-major: predict_with_derivatives sums diff * diff over p down
-    # contiguous columns instead of along short rows, in the same order. The
-    # values and, for q >= 2 outputs, the derivatives equal those of C-ordered
-    # inputs bit for bit; a single-output Jacobian is a BLAS matrix-vector
-    # product whose accumulation follows the layout, equal only to rounding
+    # contiguous columns instead of along short rows, in the same order, and
+    # takes the (N, p^2) outer products of its second derivative as a
+    # column-major view of the (N, p, p) product, without a copy. The values
+    # and, for q >= 2 outputs, the derivatives equal those of C-ordered inputs
+    # bit for bit; for a single output the Jacobian and second derivative are
+    # BLAS matrix-vector products whose accumulation follows the layout, equal
+    # only to rounding
     return RegressorModel(
         train_inputs=np.asfortranarray(inputs),
         bandwidth_eps=float(eps),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -9,6 +9,7 @@ from saddlemap import benchmarks
 from saddlemap.errors import DegenerateChartError, NonFiniteEvaluationError
 from saddlemap.geometry import (
     GADState,
+    _metric_jacobian,
     MetricTensor,
     central_difference,
     christoffel,
@@ -16,6 +17,7 @@ from saddlemap.geometry import (
     gad_extended_field,
     isd_field,
     metric_from_jacobian,
+    pullback_christoffel,
     rayleigh_quotient,
     smallest_eigpair,
 )
@@ -135,6 +137,34 @@ class TestMetricFromJacobian:
         with pytest.raises(DegenerateChartError):
             metric_from_jacobian(jac)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 1)])
+    def test_non_finite_jacobian_raises(self, bad, where):
+        # the integration loop closes a NonFiniteEvaluationError as 'degenerate'
+        jac = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])
+        jac[where] = bad
+        with pytest.raises(NonFiniteEvaluationError):
+            metric_from_jacobian(jac)
+
+    def test_not_positive_definite_raises(self, monkeypatch):
+        # a rounded g = Dpsi^T Dpsi that passes the rank check can still stop
+        # dpotrf (which one depends on the platform's rounding), so its
+        # report of a non-positive pivot is stubbed here
+        from saddlemap import geometry
+
+        dpotrf = geometry.dpotrf
+        monkeypatch.setattr(geometry, "dpotrf", lambda a, lower: (dpotrf(a, lower=lower)[0], 2))
+        with pytest.raises(DegenerateChartError):
+            metric_from_jacobian(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]]))
+
+    def test_inverse_is_exactly_symmetric(self, rng):
+        for _ in range(20):
+            jac = rng.standard_normal((int(rng.integers(3, 6)), 3))
+            g = metric_from_jacobian(jac)
+            assert np.array_equal(g.g, g.g.T)
+            assert np.array_equal(g.g_inv, g.g_inv.T)
+            assert np.allclose(g.g_inv @ g.g, np.eye(3), atol=1e-10 * np.linalg.cond(g.g))
+
     def test_spd_output(self, rng):
         for _ in range(20):
             jac = rng.standard_normal((4, 2))
@@ -193,8 +223,7 @@ class TestEvaluate:
             u = local.to_chart(q)
             x_amb, jac, second = psi.predict_with_derivatives(u, order=2)
             g = metric_from_jacobian(jac)
-            term = np.einsum("cki,cj->ijk", second, jac)
-            gamma = christoffel(g.g_inv, term + term.transpose(1, 0, 2))
+            gamma = pullback_christoffel(g.g_inv, jac, second)
             # the force side as composed before evaluate existed: an order-1 psi call
             x_1, jac_1, _ = psi.predict_with_derivatives(u, order=1)
             y, jac_amb, _ = chart_force.predict_with_derivatives(x_1, order=1)
@@ -218,8 +247,9 @@ class TestEvaluate:
             assert np.array_equal(local.metric(u).g_inv, geo.metric.g_inv)
             assert np.array_equal(local.force(u), geo.force)
             assert np.array_equal(local.covariant_hessian(u), geo.hessian)
-            expected = christoffel(geo.metric.g_inv, local.metric_jacobian(u))
-            assert np.array_equal(local.christoffel(u), expected)
+            # the connection of the metric derivative, to rounding
+            from_dg = christoffel(geo.metric.g_inv, local.metric_jacobian(u))
+            assert np.allclose(local.christoffel(u), from_dg, rtol=1e-9, atol=1e-12)
 
     def test_exact_chart_matches_closed_forms(self, rng):
         for _ in range(10):
@@ -499,6 +529,55 @@ class TestChristoffelProperties:
         lowered = np.einsum("il,ljk->ijk", g.g, gamma)
         rebuilt = lowered + lowered.transpose(1, 0, 2)
         assert np.max(np.abs(rebuilt - dg)) <= 1e-12 * np.max(np.abs(dg))
+
+
+@st.composite
+def parameterization_cases(draw):
+    """A full-rank Jacobian jac[c, i] = d psi_c / d u^i of p <= q columns
+    with condition number below 1e3, and second derivatives second[c, j, k]
+    symmetric in j and k."""
+    p = draw(st.integers(1, 3))
+    q = draw(st.integers(p, p + 2))
+    jac = draw(arrays(np.float64, (q, p), elements=grid_entries))
+    sv = np.linalg.svd(jac, compute_uv=False)
+    assume(sv[-1] > 1e-3 * sv[0])
+    raw = draw(arrays(np.float64, (q, p, p), elements=grid_entries))
+    return jac, raw + raw.transpose(0, 2, 1)
+
+
+class TestGaussFormulaProperties:
+    """The Christoffel symbols of the pullback metric from Dpsi and D^2psi
+    are the Levi-Civita symbols of its metric derivative."""
+
+    @staticmethod
+    def check(jac, second):
+        g = metric_from_jacobian(jac)
+        gamma = pullback_christoffel(g.g_inv, jac, second)
+        assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
+        from_dg = christoffel(g.g_inv, _metric_jacobian(jac, second))
+        # both sum products of jac and second entries, then apply g^-1
+        q, p = jac.shape
+        scale = np.max(np.abs(g.g_inv)) * np.max(np.abs(jac)) * np.max(np.abs(second))
+        assert np.max(np.abs(gamma - from_dg)) <= 1e-14 * p * q * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(parameterization_cases())
+    def test_equals_connection_of_metric_derivative(self, case):
+        self.check(*case)
+
+    def test_learned_chart_points(self, learned_chart):
+        local = learned_chart
+        for q in local.cloud.points[::25]:
+            _, jac, second = local.psi.predict_with_derivatives(local.to_chart(q), order=2)
+            self.check(jac, second)
+
+    def test_non_finite_second_derivative_raises(self):
+        jac = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])
+        for bad in (np.nan, np.inf):
+            second = np.zeros((3, 2, 2))
+            second[2, 0, 1] = second[2, 1, 0] = bad
+            with pytest.raises(NonFiniteEvaluationError):
+                pullback_christoffel(np.eye(2), jac, second)
 
 
 class TestISDFixedPointProperties:

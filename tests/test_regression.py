@@ -398,3 +398,54 @@ class TestLayoutBitwise:
             assert np.array_equal(factor, expected)
             assert np.array_equal(in_place, expected)
             assert np.shares_memory(in_place, own)  # no copy was made
+
+
+def reference_prediction(model: RegressorModel, x: np.ndarray):
+    """The value, Jacobian and second derivative by the formulas the chart
+    build has read since the kernel regressor was written: the second
+    derivative contracts an (N, p, p) outer-product array with einsum."""
+    x = np.asarray(x, dtype=float)
+    eps = model.bandwidth_eps
+    diff = x[None, :] - model.train_inputs
+    k = np.exp(-np.sum(diff * diff, axis=1) / (2.0 * eps))
+    value = k @ model.weights
+    kw = k[:, None] * model.weights
+    jacobian = -(kw.T @ diff) / eps
+    outer = np.einsum("ib,ic->ibc", diff, diff) / eps ** 2
+    outer -= np.eye(x.shape[0])[None, :, :] / eps
+    second = np.einsum("ia,ibc->abc", kw, outer)
+    return value, jacobian, second
+
+
+class TestPredictionBits:
+    """phi, the component ranking and the chart force read orders 0 and 1,
+    so those orders keep their bits; only psi's second derivative is a
+    new product, equal to the einsum formula to rounding."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeds, st.integers(1, 1200), st.integers(1, 4), st.integers(1, 8),
+           st.sampled_from(("C", "F")))
+    def test_orders_pinned_to_reference(self, seed, n, p, q, layout):
+        rng = np.random.default_rng(seed)
+        model = RegressorModel(train_inputs=np.asarray(rng.uniform(-1, 1, (n, p)), order=layout),
+                               bandwidth_eps=float(rng.uniform(0.05, 2.0)), nugget=0.0,
+                               weights=rng.standard_normal((n, q)))
+        query = rng.uniform(-1.2, 1.2, p)
+        ref_value, ref_jac, ref_second = reference_prediction(model, query)
+
+        value0, jac0, second0 = model.predict_with_derivatives(query, order=0)
+        assert np.array_equal(value0, ref_value) and jac0 is None and second0 is None
+        value1, jac1, second1 = model.predict_with_derivatives(query, order=1)
+        assert np.array_equal(value1, ref_value) and np.array_equal(jac1, ref_jac)
+        assert second1 is None
+        value2, jac2, second2 = model.predict_with_derivatives(query, order=2)
+        assert np.array_equal(value2, value1) and np.array_equal(jac2, jac1)
+
+        # both formulas sum the same n terms per entry in another order
+        eps = model.bandwidth_eps
+        diff = query[None, :] - model.train_inputs
+        k = np.exp(-np.sum(diff * diff, axis=1) / (2.0 * eps))
+        terms = (np.sum(diff * diff, axis=1) / eps ** 2 + 1.0 / eps)
+        scale = (np.abs(k[:, None] * model.weights) * terms[:, None]).sum(axis=0)
+        assert second2.shape == ref_second.shape == (q, p, p)
+        assert np.all(np.abs(second2 - ref_second) <= 1e-15 * n * scale[:, None, None])
