@@ -66,8 +66,10 @@ def _as_vector(v) -> np.ndarray:
 
 def _all_finite(a: np.ndarray) -> bool:
     """Whether every entry of the small array ``a`` is finite, from its sum:
-    a NaN or inf entry makes the sum NaN or inf. Entries so large that their
-    sum overflows count as non-finite too; no metric survives them."""
+    a NaN or inf entry makes the sum NaN or inf. This is the one finiteness
+    check of the module. By design it also rejects finite entries so large
+    that their sum overflows: no metric, connection or Hessian survives
+    them, and the callers raise NonFiniteEvaluationError for both."""
     return math.isfinite(a.sum())
 
 
@@ -86,7 +88,7 @@ def rayleigh_quotient(h: np.ndarray, v: Vector, g: Optional[MetricTensor] = None
     """
     v = _as_vector(v)
     denom = _inner(v, v, g)
-    if denom <= 0.0 or not np.isfinite(denom):
+    if denom <= 0.0 or not math.isfinite(denom):
         raise ValueError("Rayleigh quotient of a zero (or non-finite) vector")
     return float(v @ np.asarray(h) @ v) / denom
 
@@ -111,7 +113,7 @@ def gad_extended_field(
         raise ValueError(f"ascent direction must be unit norm, |v| = {np.linalg.norm(v)}")
     du = np.asarray(grad_u(x), dtype=float)
     d2u = np.asarray(hess_u(x), dtype=float)
-    if not (np.all(np.isfinite(du)) and np.all(np.isfinite(d2u))):
+    if not (_all_finite(du) and _all_finite(d2u)):
         raise NonFiniteEvaluationError("non-finite derivative evaluation", point=x)
     dx = -(du - 2.0 * (v @ du) * v)
     r = rayleigh_quotient(d2u, v)
@@ -123,9 +125,13 @@ def metric_from_jacobian(jac_psi: np.ndarray) -> MetricTensor:
     """Pullback metric g = Dpsi^T Dpsi of the parameterization Jacobian.
 
     Raises NonFiniteEvaluationError when Dpsi holds a NaN or inf, and
-    DegenerateChartError when Dpsi is (numerically) rank deficient or g is
-    not positive definite: a degenerate chart means the coordinates are bad,
-    not that the metric should be regularized.
+    DegenerateChartError when the SVD of Dpsi does not converge, Dpsi is
+    (numerically) rank deficient or g is not positive definite: a degenerate
+    chart means the coordinates are bad, not that the metric should be
+    regularized. The rank check rejects Dpsi of condition number above 1e7,
+    i.e. g of condition above 1e14; below that the Cholesky factorization of
+    the rounded g succeeds, so the two checks agree instead of the verdict
+    resting on rounding noise.
 
     Calls LAPACK directly, without numpy's wrappers: dgesdd (singular values
     only) for the rank check, dpotrf for the Cholesky factor of g, whose
@@ -137,8 +143,10 @@ def metric_from_jacobian(jac_psi: np.ndarray) -> MetricTensor:
     # checked first: a NaN singular value would pass the rank check
     if not _all_finite(jac):
         raise NonFiniteEvaluationError("non-finite chart Jacobian")
-    sv = dgesdd(jac.T, compute_uv=0)[1]
-    if sv[-1] < 1e-10 * sv[0] or sv[0] == 0.0:
+    _, sv, _, info = dgesdd(jac.T, compute_uv=0)
+    if info != 0:
+        raise DegenerateChartError(f"SVD of the chart Jacobian failed, dgesdd info {info}")
+    if sv[-1] < 1e-7 * sv[0] or sv[0] == 0.0:
         raise DegenerateChartError(
             f"rank-deficient chart Jacobian, singular values {sv}"
         )
@@ -148,11 +156,11 @@ def metric_from_jacobian(jac_psi: np.ndarray) -> MetricTensor:
     factor, info = dpotrf(g, lower=1)
     if info != 0:
         raise DegenerateChartError(f"metric not positive definite, dpotrf info {info}")
-    # dpotri fills the lower triangle of g^-1 and leaves the upper one zero
+    # dpotri fills the lower triangle of g^-1 and leaves the upper one zero;
+    # its info is 0 once dpotrf has succeeded
     lower = dpotri(factor, lower=1, overwrite_c=1)[0]
     g_inv = lower + lower.T
-    diag = slice(None, None, g.shape[0] + 1)
-    g_inv.flat[diag] = lower.flat[diag]
+    np.fill_diagonal(g_inv, lower.diagonal())  # undo the doubled diagonal
     return MetricTensor(g=g, g_inv=g_inv)
 
 
@@ -178,7 +186,7 @@ def christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
     from the inverse metric and the metric derivative dg[i, j, k] = d g_ij / d u^k.
     """
-    if not np.all(np.isfinite(dg)):
+    if not _all_finite(dg):
         raise NonFiniteEvaluationError("non-finite metric derivative")
     # build d_k g_ij + d_j g_ik - d_i g_jk
     term = dg + dg.transpose(0, 2, 1) - dg.transpose(2, 0, 1)
@@ -329,9 +337,7 @@ class GeometryField:
         return _metric_jacobian(jac, second)
 
     def christoffel(self, u: np.ndarray) -> np.ndarray:
-        """The symbols :meth:`evaluate` uses, bit for bit."""
-        _, jac, second = self.psi.predict_with_derivatives(u, order=2)
-        return pullback_christoffel(metric_from_jacobian(jac).g_inv, jac, second)
+        return christoffel(self.metric(u).g_inv, self.metric_jacobian(u))
 
     def force(self, u: np.ndarray) -> np.ndarray:
         return self.evaluate(u).force
