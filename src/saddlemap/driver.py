@@ -32,7 +32,7 @@ from .dimred import (  # noqa: F401
 from .errors import ChartFitError, DegenerateChartError, NonFiniteEvaluationError
 from .geometry import GeometryField, isd_field, smallest_eigpair
 from .kernels import squared_distances
-from .regression import MAX_TRIAL_POINTS, RegressorModel, fit_with_nugget_selection
+from .regression import RegressorModel, fit_with_nugget_selection
 from .sampling import SamplerConfig, check_integer, invert_chart_via_tether, sample_cloud  # noqa: F401
 
 EXIT_CONVERGED = "converged"
@@ -53,14 +53,17 @@ TRUST_FACTOR = 3.0
 N_DMAP_COMPONENTS = 8
 # eigenvalue margin of the index-1 certificate
 TOL_INDEX = 1e-6
+# cloud scale of each attempt at a chart, as a fraction of
+# perturbation_scale: three at full scale, then a half and a quarter
+ATTEMPT_SCALES = (1.0, 1.0, 1.0, 0.5, 0.25)
 
 
 @dataclass(frozen=True)
 class ProblemDefinition:
     """A gradient system on an implicitly known manifold.
 
-    ``force`` is the manifold-tangent negative gradient; ``project`` the
-    closest-point projection used to keep samples on the manifold.
+    ``force`` is the manifold-tangent negative gradient; ``project`` must be a
+    smooth retraction onto the manifold, not necessarily the closest point.
     ``energy``, ``force`` and ``project`` accept one point (n,) or a stack of
     rows (k, n); row i of a stacked result must equal, bit for bit, the result
     at row i alone, since the cloud sampler evaluates a cloud in one call.
@@ -146,20 +149,55 @@ def _derive_seed(*entropy) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
-def _pushforward_at_samples(phi: RegressorModel, cloud: PointCloud) -> np.ndarray:
+@dataclass(frozen=True)
+class DiffusionExtension:
+    """phi: the Nystrom extension of the diffusion coordinates (geometric
+    harmonics, Coifman & Lafon 2006). Coordinate j at x is sum_i k(x, x_i)
+    psi_j(x_i) / q_i over sum_i k(x, x_i) / q_i, q the kernel's row sums and
+    psi_j the raw eigenvector: at a cloud point, lambda_j psi_j(x_i) up to the
+    eigensolve's residual. ``model``'s weights are [psi / q | 1 / q], so its
+    last output is the denominator; the Jacobian is the quotient rule's."""
+
+    model: RegressorModel
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self.predict_with_derivatives(x, order=0)[0]
+
+    def predict_batch(self, xs: np.ndarray) -> np.ndarray:
+        raw = self.model.predict_batch(xs)
+        return raw[:, :-1] / raw[:, -1:]
+
+    def predict_with_derivatives(self, x: np.ndarray, order: int = 1):
+        if order not in (0, 1):
+            raise ValueError(f"order must be 0 or 1, got {order}")
+        raw, raw_jac, _ = self.model.predict_with_derivatives(x, order=order)
+        value = raw[:-1] / raw[-1]
+        jac = None if order == 0 else (raw_jac[:-1] - np.outer(value, raw_jac[-1])) / raw[-1]
+        return value, jac, None
+
+
+def _diffusion_extension(points: np.ndarray, dmap: DiffusionMapResult) -> DiffusionExtension:
+    """The extension of every diffusion coordinate of ``dmap``."""
+    q = dmap.kernel.sum(axis=1)
+    weights = np.column_stack([dmap.eigenvectors[:, 1:], np.ones(q.size)]) / q[:, None]
+    model = RegressorModel(np.asfortranarray(points), dmap.bandwidth_eps, 0.0, weights)
+    return DiffusionExtension(model)
+
+
+def _pushforward_at_samples(
+    phi: DiffusionExtension, cloud: PointCloud, kernel: np.ndarray
+) -> np.ndarray:
     """Jacobian-vector products Dphi(q_i) X(q_i) for every cloud row.
 
-    The Jacobian of the kernel predictor contracted with X_j reduces to
-    (K o S) @ weights with S_ji = (q_j - q_i) . X_j, over 1024-row blocks
-    (the BLAS product's rounding depends on the block's row count). phi's
-    factor has taken the training kernel's buffer by now, so K's rows are
-    assembled from the points, multiplied into S in 1024-column chunks:
-    they equal the full kernel's rows bit for bit.
+    The Jacobian of phi's kernel predictor contracted with X_j reduces to
+    (K o S) @ weights with S_ji = (q_j - q_i) . X_j, over 1024-row blocks of
+    the cloud's ``kernel`` (the BLAS product's rounding depends on the
+    block's row count); the quotient rule then gives phi's row.
     """
     points, forces = cloud.points, cloud.forces
-    eps = phi.bandwidth_eps
+    weights, eps = phi.model.weights, phi.model.bandwidth_eps
     n = points.shape[0]
-    out = np.empty((n, phi.weights.shape[1]))
+    out = np.empty((n, weights.shape[1] - 1))
     block = 1024
     # one block-sized buffer, updated in place
     buffer = np.empty((min(block, n), n))
@@ -167,70 +205,48 @@ def _pushforward_at_samples(phi: RegressorModel, cloud: PointCloud) -> np.ndarra
         stop = min(start + block, n)
         x_blk = points[start:stop]
         f_blk = forces[start:stop]
+        k_blk = kernel[start:stop]
         row_dot = np.sum(x_blk * f_blk, axis=1)
         s = np.matmul(f_blk, points.T, out=buffer[:stop - start])
         np.subtract(row_dot[:, None], s, out=s)
-        for col in range(0, n, block):
-            cols = slice(col, col + block)
-            s[:, cols] *= regression.gaussian_kernel(x_blk, points[cols], eps)
-        out[start:stop] = -(s @ phi.weights) / eps
+        s *= k_blk
+        raw = k_blk @ weights
+        raw_dx = -(s @ weights) / eps
+        value = raw[:, :-1] / raw[:, -1:]
+        out[start:stop] = (raw_dx[:, :-1] - value * raw_dx[:, -1:]) / raw[:, -1:]
     return out
-
-
-def _rank_chart_components(points: np.ndarray, dmap: DiffusionMapResult, eps: float) -> list[int]:
-    """Chart components, ranked from a provisional fit.
-
-    The provisional fit of all embedding components runs on an evenly
-    strided subset of at most ``MAX_TRIAL_POINTS`` cloud rows (every row
-    of a smaller cloud), assembles its own kernel from them and draws from
-    no generator; its Jacobians at 50 cloud points rank the components.
-    The quality gate applies to the chart map fitted afterwards, not to
-    this fit.
-    """
-    n = points.shape[0]
-    sub = np.unique(np.linspace(0, n - 1, min(n, MAX_TRIAL_POINTS)).astype(int))
-    ranking = regression.fit(points[sub], dmap.coordinates[sub], eps, 1e-6)
-    eval_idx = np.unique(np.linspace(0, n - 1, min(n, 50)).astype(int))
-    jacobians = [ranking.predict_with_derivatives(points[i], order=1)[1] for i in eval_idx]
-    return select_chart_components(jacobians)
 
 
 def _fit_chart_map_and_force(
     cloud: PointCloud, cfg: DriverConfig, iteration: int, attempt: int
-) -> tuple[RegressorModel, RegressorModel, np.ndarray]:
+) -> tuple[DiffusionExtension, RegressorModel, np.ndarray]:
     """phi (ambient -> chart), the chart force and the chart samples.
 
     One squared-distance matrix of the cloud gives the median bandwidth and
     is then the one N x N buffer of the diffusion map, which returns the
-    kernel in it. phi's fit takes that kernel over: its full-N Cholesky
-    factor takes the buffer, so at most about one N x N array is live at a
-    time. The component ranking, the nugget trials and the pushforward
-    assemble the kernel blocks they read from the points. phi's factor goes
-    straight to the chart-force fit through the ``factors`` dict when both
-    pick the same nugget; otherwise the chart-force fit drops it and factors
-    a freshly assembled kernel in place.
+    kernel in it. phi is the diffusion map's own extension, fitted by nothing:
+    its Jacobians at 50 cloud points rank the components, and the pushforward
+    reads the kernel's rows. The chart-force fit then takes the kernel over:
+    its full-N Cholesky factor takes the buffer.
     """
-    points = cloud.points
+    points, n = cloud.points, cloud.size
     # the Lanczos solve needs n_components + 1 < N
-    n_components = min(N_DMAP_COMPONENTS, cloud.size - 2)
+    n_components = min(N_DMAP_COMPONENTS, n - 2)
     if n_components < 1:
-        raise DegenerateChartError(f"a cloud of {cloud.size} points has no diffusion coordinates")
+        raise DegenerateChartError(f"a cloud of {n} points has no diffusion coordinates")
     sq = squared_distances(points, points)
     eps = median_bandwidth(sq)
     dmap = diffusion_maps(points, eps, n_components, sq=sq)
-    components = _rank_chart_components(points, dmap, eps)
-
-    chart_samples = dmap.coordinates[:, components]
-    factors: dict = {}
-    rng_phi = np.random.default_rng([cfg.seed, iteration, attempt, 1])
-    phi, _ = fit_with_nugget_selection(points, chart_samples, eps, rng_phi, dmap.kernel, factors)
-    # the buffer now holds phi's factor: let the factors dict alone keep it
-    del sq, dmap
-
-    pushforward = _pushforward_at_samples(phi, cloud)
+    every = _diffusion_extension(points, dmap)
+    eval_idx = np.unique(np.linspace(0, n - 1, min(n, 50)).astype(int))
+    jacobians = [every.predict_with_derivatives(points[i])[1] for i in eval_idx]
+    components = select_chart_components(jacobians)
+    weights = every.model.weights[:, components + [n_components]]
+    phi = DiffusionExtension(dataclasses.replace(every.model, weights=weights))
+    pushforward = _pushforward_at_samples(phi, cloud, dmap.kernel)
     rng_force = np.random.default_rng([cfg.seed, iteration, attempt, 2])
-    chart_force, _ = fit_with_nugget_selection(points, pushforward, eps, rng_force, None, factors)
-    return phi, chart_force, chart_samples
+    chart_force, _ = fit_with_nugget_selection(points, pushforward, eps, rng_force, dmap.kernel)
+    return phi, chart_force, dmap.coordinates[:, components]
 
 
 def build_local_chart(
@@ -242,11 +258,11 @@ def build_local_chart(
 ) -> LocalChart:
     """Sample a cloud around ``base`` and learn chart, force field, geometry.
 
-    At most about one N x N array is live at any stage (the cloud's kernel,
-    phi's factor in its buffer, then psi's kernel and factor in one buffer),
-    plus the smaller fits' kernels and row blocks of the pushforward. Raises
-    DegenerateChartError / ChartFitError when the chart cannot be trusted;
-    the caller resamples with a fresh seed (at most three attempts).
+    A chart factors four systems, a trial and a full-N one each for the chart
+    force and psi. About one N x N array is live at a time: the cloud's
+    kernel, the chart force's factor in its buffer, then psi's kernel and
+    factor in one buffer. Raises DegenerateChartError / ChartFitError when
+    the chart cannot be trusted; ``_learn_chart`` then resamples.
     """
     seed = _derive_seed(cfg.seed, iteration, attempt, 0)
     cloud = sample_cloud(problem, base, cfg.sampler, seed)
@@ -259,7 +275,7 @@ def build_local_chart(
     eps_chart = median_bandwidth(sq_chart)
     psi_kernel = regression.gaussian_kernel(chart_samples, chart_samples, eps_chart, sq=sq_chart)
     rng_psi = np.random.default_rng([cfg.seed, iteration, attempt, 3])
-    psi, _ = fit_with_nugget_selection(chart_samples, points, eps_chart, rng_psi, psi_kernel, {})
+    psi, _ = fit_with_nugget_selection(chart_samples, points, eps_chart, rng_psi, psi_kernel)
     return LocalChart(phi, psi, chart_force, cloud)
 
 
@@ -346,16 +362,20 @@ def integrate_isd_on_chart(
 
 
 def _learn_chart(problem, x: np.ndarray, cfg: DriverConfig, iteration: int):
-    """A chart built around ``x``, resampled at most three times; None if none holds.
+    """A chart built around ``x``; None if every attempt is rejected.
 
-    Each rejected attempt is logged at INFO on the ``saddlemap`` logger.
+    Attempt i samples a cloud seeded by i at ``ATTEMPT_SCALES[i]`` times
+    ``perturbation_scale``; a rejection is logged at INFO on ``saddlemap``.
     """
-    for attempt in range(3):
+    full_scale = cfg.sampler.perturbation_scale
+    for attempt, scale in enumerate(ATTEMPT_SCALES):
+        sampler = dataclasses.replace(cfg.sampler, perturbation_scale=scale * full_scale)
+        chart_cfg = dataclasses.replace(cfg, sampler=sampler)
         try:
-            return build_local_chart(problem, x, cfg, iteration, attempt)
+            return build_local_chart(problem, x, chart_cfg, iteration, attempt)
         except (DegenerateChartError, ChartFitError) as exc:
-            logger.info("iteration %d: chart attempt %d rejected: %s: %s",
-                        iteration, attempt, type(exc).__name__, exc)
+            logger.info("iteration %d: chart attempt %d (cloud scale %g) rejected: %s: %s",
+                        iteration, attempt, scale, type(exc).__name__, exc)
     return None
 
 

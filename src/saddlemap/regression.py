@@ -1,12 +1,11 @@
 """Squared-exponential kernel regression with analytic predictor derivatives.
 
-Used three ways in the pipeline: ambient -> chart coordinates (phi), chart ->
-ambient (psi), and the chart force field. Prediction is mean-only: the models
-act as smooth interpolants, never as uncertainty estimates. Every kernel
-block a fit reads is assembled from its input rows. A chart build hands phi
-and psi the full Gaussian kernel it already assembled (the diffusion-map
-kernel of the cloud, psi's kernel of the chart samples) only so that the
-winning nugget's full system is factored in its buffer.
+Fitted twice per chart, for psi (chart -> ambient) and the chart force; phi
+predicts through a RegressorModel whose weights the diffusion map gives.
+Prediction is mean-only: the models act as smooth interpolants, never as
+uncertainty estimates. Every kernel block a fit reads is assembled from its
+input rows; the full kernel a chart build hands over (the cloud's, psi's of
+the chart samples) only gives the winning nugget's full system its buffer.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from .kernels import gaussian_kernel
 
 NUGGET_LADDER = (1e-8, 1e-6, 1e-4)
 R2_TARGET = 0.99
-# row cap of the nugget trials (and of the driver's component-ranking fit)
+# row cap of the nugget trials
 MAX_TRIAL_POINTS = 2000
 # share of the trial rows held out to score each nugget
 HOLDOUT_FRACTION = 0.2
@@ -95,9 +94,9 @@ def fit(
     ``reuse_kernel`` lets the caller supply the Gaussian kernel already
     assembled for the same inputs and bandwidth; it is taken as given, only
     its shape is checked, and it is left unchanged. A kernel assembled here
-    is factored in its own buffer. ``factorization`` may carry a Cholesky
-    factor of (K + nugget I) from :func:`kernel_factorization` to share
-    across fits on the same inputs; the kernel is then not assembled at all.
+    is factored in its own buffer. ``factorization`` may carry the Cholesky
+    factor of (K + nugget I) from :func:`kernel_factorization`; the kernel
+    is then not assembled at all.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.asarray(targets, dtype=float)
@@ -205,8 +204,7 @@ def fit_with_nugget_selection(
     targets: np.ndarray,
     eps: float,
     rng: np.random.Generator,
-    kernel: Optional[np.ndarray],
-    factors: dict,
+    kernel: np.ndarray,
 ) -> tuple[RegressorModel, float]:
     """Fit with the smallest nugget whose held-out R^2 reaches R2_TARGET.
 
@@ -214,24 +212,16 @@ def fit_with_nugget_selection(
     each trains on the kernel of the training rows and is scored by its
     held-out predictions. The winning nugget is then refit on all rows.
 
-    ``kernel`` is None or the C-ordered Gaussian kernel of ``inputs`` at
-    ``eps``, taken as given and handed over: the winning nugget's full
-    system, unless already held in ``factors``, is factored in its buffer,
-    which the caller must not read afterwards.
-
-    ``factors`` holds the Cholesky factor of one full system of these inputs
-    and ``eps``, keyed by its nugget; the caller creates one dict per input
-    set and passes it to every fit on it, so fits of different targets that
-    pick the same nugget factor once. A fit that picks another nugget first
-    drops the held factor, then factors a freshly assembled kernel in its
-    own buffer, so two full systems are never live at once.
+    ``kernel`` is the C-ordered Gaussian kernel of ``inputs`` at ``eps``,
+    taken as given and handed over: the winning nugget's full system is
+    factored in its buffer, which the caller must not read afterwards.
 
     A trial whose held-out R^2 is undefined (a constant target missed)
     fails. Raises ChartFitError when no nugget on the ladder reaches the
     target.
     """
     n = inputs.shape[0]
-    if kernel is not None and kernel.shape != (n, n):
+    if kernel.shape != (n, n):
         raise ValueError(f"kernel has shape {kernel.shape}, expected {(n, n)}")
     trial_idx = np.arange(n)
     if n > MAX_TRIAL_POINTS:
@@ -254,10 +244,5 @@ def fit_with_nugget_selection(
     else:
         raise ChartFitError(f"no nugget in {NUGGET_LADDER} reaches held-out R^2 >= {R2_TARGET}")
     del trial_kernel  # not kept beside the full system
-    if nugget not in factors:
-        factors.clear()
-        if kernel is None:
-            kernel = gaussian_kernel(inputs, inputs, eps)
-        factors[nugget] = kernel_factorization(kernel, nugget, overwrite_kernel=True)
-    full = fit(inputs, targets, eps, nugget, factorization=factors[nugget])
-    return full, r2
+    factorization = kernel_factorization(kernel, nugget, overwrite_kernel=True)
+    return fit(inputs, targets, eps, nugget, factorization=factorization), r2

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlemap import benchmarks, driver, regression
 from saddlemap.dimred import PointCloud, diffusion_maps, median_bandwidth, select_chart_components
@@ -19,21 +21,22 @@ from saddlemap.driver import (
     EXIT_DEGENERATE,
     EXIT_STEP_BUDGET,
     EXIT_TRUST_REGION,
-    MAX_TRIAL_POINTS,
     N_DMAP_COMPONENTS,
     VERDICT_FAILED,
     VERDICT_MAX_ITERATIONS,
     VERDICT_SADDLE_FOUND,
+    DiffusionExtension,
     _derive_seed,
+    _diffusion_extension,
+    _fit_chart_map_and_force,
     _pushforward_at_samples,
-    _rank_chart_components,
     build_local_chart,
     check_convergence,
     integrate_isd_on_chart,
     run_search,
 )
 from saddlemap.kernels import gaussian_kernel, squared_distances
-from saddlemap.regression import RegressorModel
+from saddlemap.regression import MAX_TRIAL_POINTS, RegressorModel
 from saddlemap.sampling import SamplerConfig, sample_cloud
 
 from conftest import QuadraticSaddleChart, flat_problem, quadratic_saddle_force
@@ -153,13 +156,30 @@ class TestBuildLocalChart:
             traj = run_search(problem, base, dataclasses.replace(cfg, n_iterations_max=1))
         assert traj.verdict == VERDICT_FAILED
         records = [r for r in caplog.records if r.name == "saddlemap"]
-        assert [r.levelno for r in records] == [logging.INFO] * 3
-        for attempt, rec in enumerate(records):
+        # three attempts at full scale, then one at half and one at a quarter
+        assert [r.levelno for r in records] == [logging.INFO] * 5
+        for attempt, (rec, scale) in enumerate(zip(records, ["1", "1", "1", "0.5", "0.25"])):
             message = rec.getMessage()
             assert message.startswith(
-                f"iteration 1: chart attempt {attempt} rejected: DegenerateChartError: "
+                f"iteration 1: chart attempt {attempt} (cloud scale {scale}) rejected: "
+                "DegenerateChartError: "
             )
             assert "collapsed point set" in message
+
+    def test_smaller_clouds_only_after_three_rejections(self, monkeypatch):
+        # the first three attempts sample at the configured scale, with
+        # seeds derived from their attempt index as before
+        scales = []
+
+        def build(problem, base, cfg, iteration, attempt):
+            scales.append((attempt, cfg.sampler.perturbation_scale))
+            raise DegenerateChartError("rejected")
+
+        monkeypatch.setattr(driver, "build_local_chart", build)
+        cfg = small_cfg(n_iterations_max=1)
+        traj = run_search(SPHERE, benchmarks.sphere_project(np.array([1.0, 1.0, -1.0])), cfg)
+        assert traj.verdict == VERDICT_FAILED
+        assert scales == [(0, 0.15), (1, 0.15), (2, 0.15), (3, 0.075), (4, 0.0375)]
 
 
 def collapsed_cloud_case():
@@ -192,10 +212,9 @@ class TestChartBuildMemory:
             tracemalloc.stop()
 
     def test_traced_peak_bounded(self):
-        # one N x N array per stage; at N = 2000 the ranking fit assembles
-        # and factors its own kernel of all MAX_TRIAL_POINTS rows beside the
-        # cloud's, and the 1600-row trial fits beside the kernel bring the
-        # traced peak to ~2.4 N x N arrays
+        # one N x N array per stage; at N = 2000 the 1600-row trial fits
+        # beside the cloud's kernel (and beside psi's) bring the traced peak
+        # to ~2.3 N x N arrays
         n = 2000
         assert self.traced_peak(n) <= 3.0 * 8 * n * n
 
@@ -207,10 +226,12 @@ class TestChartBuildMemory:
 
 
 class TestChartFactorizations:
-    """Above MAX_TRIAL_POINTS a chart factors two N-row systems, not three."""
+    """A chart factors four systems: a trial and a full-N one for the chart
+    force and for psi. phi is fitted by none, and no system has
+    MAX_TRIAL_POINTS rows."""
 
     @staticmethod
-    def factored_rows(monkeypatch, cfg):
+    def factored_rows(monkeypatch, problem, base, cfg):
         rows = []
         factor = regression.kernel_factorization
 
@@ -219,81 +240,142 @@ class TestChartFactorizations:
             return factor(kernel, nugget, overwrite_kernel=overwrite_kernel)
 
         monkeypatch.setattr(regression, "kernel_factorization", recording)
-        build_local_chart(benchmarks.surface_problem(), benchmarks.mb_start_point(), cfg)
+        build_local_chart(problem, base, cfg)
         return rows
 
     def test_two_full_factorizations_above_trial_cap(self, monkeypatch):
-        cfg = mb_chart_cfg(2500)
-        assert cfg.sampler.n_samples > MAX_TRIAL_POINTS
-        rows = self.factored_rows(monkeypatch, cfg)
-        # the ranking fit comes first, on MAX_TRIAL_POINTS rows; phi (shared
-        # with the chart force) and psi are the two full-N systems
-        assert rows[0] == MAX_TRIAL_POINTS
-        assert rows.count(2500) == 2
+        # the mb_chart workload's N: the trials run on 80% of MAX_TRIAL_POINTS rows
+        cfg = mb_chart_cfg(5000)
+        rows = self.factored_rows(monkeypatch, benchmarks.surface_problem(),
+                                  benchmarks.mb_start_point(), cfg)
+        assert rows == [1600, 5000, 1600, 5000]
 
-    def test_ranking_sees_every_row_up_to_trial_cap(self, monkeypatch):
-        cfg = mb_chart_cfg(1000)
-        assert cfg.sampler.n_samples <= MAX_TRIAL_POINTS
-        rows = self.factored_rows(monkeypatch, cfg)
-        assert rows[0] == 1000
-        assert rows.count(1000) == 3
+    def test_four_factorizations_within_trial_cap(self, monkeypatch):
+        # the sphere_learned workload's N: the trials run on 80% of the rows
+        cfg = small_cfg(sampler=SamplerConfig(n_samples=1000, perturbation_scale=0.15))
+        assert cfg.sampler.n_samples < MAX_TRIAL_POINTS
+        base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
+        assert self.factored_rows(monkeypatch, SPHERE, base, cfg) == [800, 1000, 800, 1000]
 
 
 class TestPushforwardBlocks:
     @pytest.mark.parametrize("n", [700, 2100])
     def test_equals_product_with_full_kernel_rows(self, rng, n):
-        # kernel rows assembled in column chunks give the product of the
-        # full kernel's row blocks bit for bit
+        # the in-place block buffer gives the quotient-rule product of the
+        # full kernel's row blocks bit for bit, and leaves the kernel as it was
         points = rng.uniform(-1.0, 1.0, (n, 3))
         cloud = PointCloud(points=points, forces=rng.standard_normal((n, 3)), base_point=points[0])
         eps = 0.3
-        phi = RegressorModel(train_inputs=np.asfortranarray(points), bandwidth_eps=eps,
-                             nugget=1e-8, weights=rng.standard_normal((n, 2)))
+        weights = np.column_stack([rng.standard_normal((n, 2)), rng.uniform(0.5, 1.5, n)])
+        phi = DiffusionExtension(RegressorModel(train_inputs=np.asfortranarray(points),
+                                                bandwidth_eps=eps, nugget=0.0, weights=weights))
         kernel = gaussian_kernel(points, points, eps)
         expected = np.empty((n, 2))
         for start in range(0, n, 1024):
             rows = slice(start, start + 1024)
             f_blk = cloud.forces[rows]
             s = np.sum(points[rows] * f_blk, axis=1)[:, None] - f_blk @ points.T
-            expected[rows] = -((kernel[rows] * s) @ phi.weights) / eps
-        assert np.array_equal(_pushforward_at_samples(phi, cloud), expected)
+            raw = kernel[rows] @ weights
+            raw_dx = -((s * kernel[rows]) @ weights) / eps
+            value = raw[:, :2] / raw[:, 2:]
+            expected[rows] = (raw_dx[:, :2] - value * raw_dx[:, 2:]) / raw[:, 2:]
+        read = kernel.copy()
+        assert np.array_equal(_pushforward_at_samples(phi, cloud, read), expected)
+        assert np.array_equal(read, kernel)
+
+
+def small_cloud_extension(seed, n, dim):
+    """A random cloud, its kernel and the extension of its diffusion map."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.0, 1.0, (n, dim))
+    forces = rng.standard_normal((n, dim))
+    sq = squared_distances(points, points)
+    dmap = diffusion_maps(points, median_bandwidth(sq), 4, sq=sq)
+    cloud = PointCloud(points=points, forces=forces, base_point=points[0])
+    return cloud, dmap, _diffusion_extension(points, dmap)
+
+
+class TestDiffusionExtension:
+    """phi, the Nystrom extension of the diffusion coordinates."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 120), dim=st.integers(2, 3))
+    def test_reproduces_coordinates_at_cloud_points(self, seed, n, dim):
+        cloud, dmap, ext = small_cloud_extension(seed, n, dim)
+        assert np.max(np.abs(ext.predict_batch(cloud.points) - dmap.coordinates)) <= 1e-12
+        for i in (0, n // 2, n - 1):
+            assert np.max(np.abs(ext.predict(cloud.points[i]) - dmap.coordinates[i])) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 120), dim=st.integers(2, 3))
+    def test_jacobian_matches_central_difference(self, seed, n, dim):
+        cloud, dmap, ext = small_cloud_extension(seed, n, dim)
+        x = cloud.points[0] + 0.1 * np.sqrt(dmap.bandwidth_eps)
+        value, jac, _ = ext.predict_with_derivatives(x, order=1)
+        assert np.array_equal(value, ext.predict(x))
+        h = 1e-5 * np.sqrt(dmap.bandwidth_eps)
+        fd = np.column_stack([(ext.predict(x + h * e) - ext.predict(x - h * e)) / (2 * h)
+                              for e in np.eye(dim)])
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * (1.0 + np.max(np.abs(jac)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 120), dim=st.integers(2, 3))
+    def test_pushforward_rows_are_jacobian_times_force(self, seed, n, dim):
+        cloud, dmap, ext = small_cloud_extension(seed, n, dim)
+        pushforward = _pushforward_at_samples(ext, cloud, dmap.kernel)
+        for i in (0, n // 3, n - 1):
+            jac = ext.predict_with_derivatives(cloud.points[i], order=1)[1]
+            expected = jac @ cloud.forces[i]
+            assert np.allclose(pushforward[i], expected, rtol=1e-9,
+                               atol=1e-12 * (1.0 + np.max(np.abs(jac))))
+
+    def test_order_two_is_refused(self):
+        _, _, ext = small_cloud_extension(0, 30, 2)
+        with pytest.raises(ValueError, match="order"):
+            ext.predict_with_derivatives(np.zeros(2), order=2)
 
 
 class TestRankingParity:
+    """The extension's Jacobians pick the components that the Jacobians of
+    a full fit of every diffusion coordinate pick, on the first Mueller-Brown
+    clouds of a few driver seeds, above and within MAX_TRIAL_POINTS rows."""
+
     @staticmethod
-    def check_ranking_matches_full_fit(n, seed):
+    def check_ranking_matches_full_fit(monkeypatch, n, seed):
         # the first Mueller-Brown cloud of driver seed `seed`, as
         # build_local_chart samples it
         cfg = mb_chart_cfg(n, seed)
-        points = sample_cloud(
+        cloud = sample_cloud(
             benchmarks.surface_problem(), benchmarks.mb_start_point(), cfg.sampler,
             _derive_seed(seed, 1, 0, 0),
-        ).points
+        )
+        points = cloud.points
         sq = squared_distances(points, points)
         eps = median_bandwidth(sq)
         dmap = diffusion_maps(points, eps, N_DMAP_COMPONENTS, sq=sq)
-        kernel = dmap.kernel.copy()
-
         full = regression.fit(points, dmap.coordinates, eps, 1e-6, reuse_kernel=dmap.kernel)
         eval_idx = np.unique(np.linspace(0, n - 1, 50).astype(int))
         jacobians = [full.predict_with_derivatives(points[i], order=1)[1] for i in eval_idx]
         reference = select_chart_components(jacobians)
 
-        assert _rank_chart_components(points, dmap, eps) == reference
-        # phi's full factor still reads the cloud kernel after the ranking
-        assert np.array_equal(dmap.kernel, kernel)
+        picks = []
+        select = driver.select_chart_components
+        monkeypatch.setattr(driver, "select_chart_components",
+                            lambda jacs: picks.append(select(jacs)) or picks[-1])
+        _, _, chart_samples = _fit_chart_map_and_force(cloud, cfg, 1, 0)
+        assert picks == [reference]
+        assert np.array_equal(chart_samples, dmap.coordinates[:, reference])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_subset_ranking_matches_full_fit(self, seed):
+    def test_subset_ranking_matches_full_fit(self, monkeypatch, seed):
         assert 3000 > MAX_TRIAL_POINTS
-        self.check_ranking_matches_full_fit(3000, seed)
+        self.check_ranking_matches_full_fit(monkeypatch, 3000, seed)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_ranking_within_trial_cap_matches_full_fit(self, seed):
-        # a cloud of at most MAX_TRIAL_POINTS rows, as on the sphere: the
-        # ranking fit reads every row
+    def test_ranking_within_trial_cap_matches_full_fit(self, monkeypatch, seed):
+        # a cloud of at most MAX_TRIAL_POINTS rows, as on the sphere
         assert 1000 <= MAX_TRIAL_POINTS
-        self.check_ranking_matches_full_fit(1000, seed)
+        self.check_ranking_matches_full_fit(monkeypatch, 1000, seed)
 
 
 class TestLearnedStep:

@@ -244,7 +244,7 @@ class TestNuggetSelection:
     def test_smallest_sufficient_nugget_chosen(self, rng):
         x = rng.uniform(-1, 1, (120, 2))
         y = np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
-        model, r2 = fit_with_nugget_selection(x, y, 0.4, rng, gaussian_kernel(x, x, 0.4), {})
+        model, r2 = fit_with_nugget_selection(x, y, 0.4, rng, gaussian_kernel(x, x, 0.4))
         assert model.nugget == 1e-8
         assert r2 >= 0.99
 
@@ -255,9 +255,8 @@ class TestNuggetSelection:
         for n in (150, regression.MAX_TRIAL_POINTS + 100):
             x = rng.uniform(-1, 1, (n, 2))
             y = np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
-            factors: dict = {}
             reused, r2_reused = fit_with_nugget_selection(
-                x, y, 0.4, np.random.default_rng(3), gaussian_kernel(x, x, 0.4), factors
+                x, y, 0.4, np.random.default_rng(3), gaussian_kernel(x, x, 0.4)
             )
             split_rng = np.random.default_rng(3)
             rows = np.arange(n)
@@ -274,41 +273,12 @@ class TestNuggetSelection:
                     break
             assert r2_reused == r2 and reused.nugget == nugget
             assert np.array_equal(reused.weights, fit(x, y, 0.4, nugget).weights)
-            assert list(factors) == [nugget]
-
-    @pytest.mark.parametrize("n", [150, regression.MAX_TRIAL_POINTS + 100])
-    def test_assembled_blocks_give_identical_fit(self, rng, n):
-        # the chart force's fit: no kernel handed over, and phi's factor
-        # reused from the dict
-        x = rng.uniform(-1, 1, (n, 2))
-        y = np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
-        factors: dict = {}
-        handed, r2_handed = fit_with_nugget_selection(
-            x, y, 0.4, np.random.default_rng(5), gaussian_kernel(x, x, 0.4), factors
-        )
-        held = factors[handed.nugget]
-        assembled, r2_assembled = fit_with_nugget_selection(
-            x, y, 0.4, np.random.default_rng(5), None, factors
-        )
-        assert r2_assembled == r2_handed and assembled.nugget == handed.nugget
-        assert np.array_equal(assembled.weights, handed.weights)
-        assert list(factors) == [handed.nugget] and factors[handed.nugget] is held
-
-    def test_other_nugget_drops_the_held_factor(self, rng):
-        x = rng.uniform(-1, 1, (120, 2))
-        y = np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
-        held = kernel_factorization(gaussian_kernel(x, x, 0.4), 1e-4)
-        factors = {1e-4: held}
-        model, _ = fit_with_nugget_selection(x, y, 0.4, rng, None, factors)
-        assert model.nugget == 1e-8
-        assert list(factors) == [1e-8]
-        assert np.array_equal(model.weights, fit(x, y, 0.4, 1e-8).weights)
 
     def test_unreachable_target_raises(self, rng):
         x = rng.uniform(-1, 1, (60, 1))
         noise = rng.standard_normal((60, 1))
         with pytest.raises(ChartFitError):
-            fit_with_nugget_selection(x, noise, 1e-6, rng, gaussian_kernel(x, x, 1e-6), {})
+            fit_with_nugget_selection(x, noise, 1e-6, rng, gaussian_kernel(x, x, 1e-6))
 
 
 class TestChartMapFits:
