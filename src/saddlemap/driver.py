@@ -53,8 +53,7 @@ TRUST_FACTOR = 3.0
 N_DMAP_COMPONENTS = 8
 # eigenvalue margin of the index-1 certificate
 TOL_INDEX = 1e-6
-# cloud scale of each attempt at a chart, as a fraction of
-# perturbation_scale: three at full scale, then a half and a quarter
+# cloud scale of each chart attempt as a fraction of perturbation_scale
 ATTEMPT_SCALES = (1.0, 1.0, 1.0, 0.5, 0.25)
 
 
@@ -154,11 +153,18 @@ class DiffusionExtension:
     """phi: the Nystrom extension of the diffusion coordinates (geometric
     harmonics, Coifman & Lafon 2006). Coordinate j at x is sum_i k(x, x_i)
     psi_j(x_i) / q_i over sum_i k(x, x_i) / q_i, q the kernel's row sums and
-    psi_j the raw eigenvector: at a cloud point, lambda_j psi_j(x_i) up to the
-    eigensolve's residual. ``model``'s weights are [psi / q | 1 / q], so its
-    last output is the denominator; the Jacobian is the quotient rule's."""
+    psi_j the raw eigenvector: lambda_j psi_j(x_i) at a cloud point, up to the
+    eigensolve's residual. ``model``'s weights are [psi / q | 1 / q], its last
+    output the denominator; the Jacobian is the quotient rule's."""
 
     model: RegressorModel
+
+    @classmethod
+    def of(cls, points: np.ndarray, dmap: DiffusionMapResult) -> DiffusionExtension:
+        """The extension of every diffusion coordinate of ``dmap``."""
+        q = dmap.kernel.sum(axis=1)
+        weights = np.column_stack([dmap.eigenvectors[:, 1:], np.ones(q.size)]) / q[:, None]
+        return cls(RegressorModel(np.asfortranarray(points), dmap.bandwidth_eps, 0.0, weights))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.predict_with_derivatives(x, order=0)[0]
@@ -176,14 +182,6 @@ class DiffusionExtension:
         return value, jac, None
 
 
-def _diffusion_extension(points: np.ndarray, dmap: DiffusionMapResult) -> DiffusionExtension:
-    """The extension of every diffusion coordinate of ``dmap``."""
-    q = dmap.kernel.sum(axis=1)
-    weights = np.column_stack([dmap.eigenvectors[:, 1:], np.ones(q.size)]) / q[:, None]
-    model = RegressorModel(np.asfortranarray(points), dmap.bandwidth_eps, 0.0, weights)
-    return DiffusionExtension(model)
-
-
 def _pushforward_at_samples(
     phi: DiffusionExtension, cloud: PointCloud, kernel: np.ndarray
 ) -> np.ndarray:
@@ -196,24 +194,18 @@ def _pushforward_at_samples(
     """
     points, forces = cloud.points, cloud.forces
     weights, eps = phi.model.weights, phi.model.bandwidth_eps
-    n = points.shape[0]
+    n, block = points.shape[0], 1024
     out = np.empty((n, weights.shape[1] - 1))
-    block = 1024
-    # one block-sized buffer, updated in place
-    buffer = np.empty((min(block, n), n))
+    buffer = np.empty((min(block, n), n))  # one block-sized buffer, updated in place
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        x_blk = points[start:stop]
-        f_blk = forces[start:stop]
-        k_blk = kernel[start:stop]
-        row_dot = np.sum(x_blk * f_blk, axis=1)
-        s = np.matmul(f_blk, points.T, out=buffer[:stop - start])
-        np.subtract(row_dot[:, None], s, out=s)
+        rows = slice(start, start + block)
+        f_blk, k_blk = forces[rows], kernel[rows]
+        s = np.matmul(f_blk, points.T, out=buffer[:len(f_blk)])
+        np.subtract(np.sum(points[rows] * f_blk, axis=1)[:, None], s, out=s)
         s *= k_blk
-        raw = k_blk @ weights
-        raw_dx = -(s @ weights) / eps
+        raw, raw_dx = k_blk @ weights, -(s @ weights) / eps
         value = raw[:, :-1] / raw[:, -1:]
-        out[start:stop] = (raw_dx[:, :-1] - value * raw_dx[:, -1:]) / raw[:, -1:]
+        out[rows] = (raw_dx[:, :-1] - value * raw_dx[:, -1:]) / raw[:, -1:]
     return out
 
 
@@ -223,11 +215,10 @@ def _fit_chart_map_and_force(
     """phi (ambient -> chart), the chart force and the chart samples.
 
     One squared-distance matrix of the cloud gives the median bandwidth and
-    is then the one N x N buffer of the diffusion map, which returns the
-    kernel in it. phi is the diffusion map's own extension, fitted by nothing:
-    its Jacobians at 50 cloud points rank the components, and the pushforward
-    reads the kernel's rows. The chart-force fit then takes the kernel over:
-    its full-N Cholesky factor takes the buffer.
+    is the diffusion map's one N x N buffer, which returns the kernel in it.
+    phi, the map's own extension, is fitted by nothing: its Jacobians at 50
+    cloud points rank the components, and the pushforward reads the kernel's
+    rows. The chart-force fit then factors its full-N system in the buffer.
     """
     points, n = cloud.points, cloud.size
     # the Lanczos solve needs n_components + 1 < N
@@ -237,7 +228,7 @@ def _fit_chart_map_and_force(
     sq = squared_distances(points, points)
     eps = median_bandwidth(sq)
     dmap = diffusion_maps(points, eps, n_components, sq=sq)
-    every = _diffusion_extension(points, dmap)
+    every = DiffusionExtension.of(points, dmap)
     eval_idx = np.unique(np.linspace(0, n - 1, min(n, 50)).astype(int))
     jacobians = [every.predict_with_derivatives(points[i])[1] for i in eval_idx]
     components = select_chart_components(jacobians)
@@ -258,15 +249,13 @@ def build_local_chart(
 ) -> LocalChart:
     """Sample a cloud around ``base`` and learn chart, force field, geometry.
 
-    A chart factors four systems, a trial and a full-N one each for the chart
-    force and psi. About one N x N array is live at a time: the cloud's
+    The chart force and psi each factor a trial system per nugget tried and
+    one full-N system. About one N x N array is live at a time: the cloud's
     kernel, the chart force's factor in its buffer, then psi's kernel and
     factor in one buffer. Raises DegenerateChartError / ChartFitError when
     the chart cannot be trusted; ``_learn_chart`` then resamples.
     """
-    seed = _derive_seed(cfg.seed, iteration, attempt, 0)
-    cloud = sample_cloud(problem, base, cfg.sampler, seed)
-    points = cloud.points
+    cloud = sample_cloud(problem, base, cfg.sampler, _derive_seed(cfg.seed, iteration, attempt, 0))
     phi, chart_force, chart_samples = _fit_chart_map_and_force(cloud, cfg, iteration, attempt)
 
     # psi's kernel comes from one squared-distance matrix of the chart
@@ -275,7 +264,7 @@ def build_local_chart(
     eps_chart = median_bandwidth(sq_chart)
     psi_kernel = regression.gaussian_kernel(chart_samples, chart_samples, eps_chart, sq=sq_chart)
     rng_psi = np.random.default_rng([cfg.seed, iteration, attempt, 3])
-    psi, _ = fit_with_nugget_selection(chart_samples, points, eps_chart, rng_psi, psi_kernel)
+    psi, _ = fit_with_nugget_selection(chart_samples, cloud.points, eps_chart, rng_psi, psi_kernel)
     return LocalChart(phi, psi, chart_force, cloud)
 
 

@@ -1,11 +1,10 @@
 """Squared-exponential kernel regression with analytic predictor derivatives.
 
-Fitted twice per chart, for psi (chart -> ambient) and the chart force; phi
-predicts through a RegressorModel whose weights the diffusion map gives.
-Prediction is mean-only: the models act as smooth interpolants, never as
-uncertainty estimates. Every kernel block a fit reads is assembled from its
-input rows; the full kernel a chart build hands over (the cloud's, psi's of
-the chart samples) only gives the winning nugget's full system its buffer.
+A chart fits psi (chart -> ambient) and the chart force; phi predicts through
+a RegressorModel with the diffusion map's weights. Prediction is mean-only:
+the models are smooth interpolants, never uncertainty estimates. A fit
+assembles each kernel block it reads from its input rows; a full kernel
+handed over only lends the winning nugget's full system its buffer.
 """
 from __future__ import annotations
 
@@ -91,12 +90,10 @@ def fit(
 ) -> RegressorModel:
     """Solve (K + nugget I) w = targets for the regression weights.
 
-    ``reuse_kernel`` lets the caller supply the Gaussian kernel already
-    assembled for the same inputs and bandwidth; it is taken as given, only
-    its shape is checked, and it is left unchanged. A kernel assembled here
-    is factored in its own buffer. ``factorization`` may carry the Cholesky
-    factor of (K + nugget I) from :func:`kernel_factorization`; the kernel
-    is then not assembled at all.
+    ``reuse_kernel`` is the Gaussian kernel of the same inputs and bandwidth,
+    taken as given (only its shape is checked) and left unchanged; a kernel
+    assembled here is factored in its own buffer. With ``factorization``, the
+    Cholesky factor of (K + nugget I), no kernel is assembled at all.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.asarray(targets, dtype=float)
@@ -217,8 +214,7 @@ def fit_with_nugget_selection(
     factored in its buffer, which the caller must not read afterwards.
 
     A trial whose held-out R^2 is undefined (a constant target missed)
-    fails. Raises ChartFitError when no nugget on the ladder reaches the
-    target.
+    fails. Raises ChartFitError when no nugget reaches the target.
     """
     n = inputs.shape[0]
     if kernel.shape != (n, n):

@@ -27,7 +27,6 @@ from saddlemap.driver import (
     VERDICT_SADDLE_FOUND,
     DiffusionExtension,
     _derive_seed,
-    _diffusion_extension,
     _fit_chart_map_and_force,
     _pushforward_at_samples,
     build_local_chart,
@@ -226,9 +225,10 @@ class TestChartBuildMemory:
 
 
 class TestChartFactorizations:
-    """A chart factors four systems: a trial and a full-N one for the chart
-    force and for psi. phi is fitted by none, and no system has
-    MAX_TRIAL_POINTS rows."""
+    """At the workloads' sizes both fits pass at the smallest nugget, so a
+    chart factors four systems: a trial and a full-N one for the chart force
+    and for psi. phi is fitted by none, and no system has MAX_TRIAL_POINTS
+    rows."""
 
     @staticmethod
     def factored_rows(monkeypatch, problem, base, cfg):
@@ -292,7 +292,7 @@ def small_cloud_extension(seed, n, dim):
     sq = squared_distances(points, points)
     dmap = diffusion_maps(points, median_bandwidth(sq), 4, sq=sq)
     cloud = PointCloud(points=points, forces=forces, base_point=points[0])
-    return cloud, dmap, _diffusion_extension(points, dmap)
+    return cloud, dmap, DiffusionExtension.of(points, dmap)
 
 
 class TestDiffusionExtension:
