@@ -154,8 +154,7 @@ class DiffusionExtension:
     harmonics, Coifman & Lafon 2006). Coordinate j at x is sum_i k(x, x_i)
     psi_j(x_i) / q_i over sum_i k(x, x_i) / q_i, q the kernel's row sums and
     psi_j the raw eigenvector: lambda_j psi_j(x_i) at a cloud point, up to the
-    eigensolve's residual. ``model``'s weights are [psi / q | 1 / q], its last
-    output the denominator; the Jacobian is the quotient rule's."""
+    eigensolve's residual. ``model``'s weights are [psi / q | 1 / q]."""
 
     model: RegressorModel
 
@@ -166,20 +165,24 @@ class DiffusionExtension:
         weights = np.column_stack([dmap.eigenvectors[:, 1:], np.ones(q.size)]) / q[:, None]
         return cls(RegressorModel(np.asfortranarray(points), dmap.bandwidth_eps, 0.0, weights))
 
+    @staticmethod
+    def quotient(raw: np.ndarray, raw_d: np.ndarray = None):
+        """phi from the model's outputs ``raw``; by the quotient rule, its derivative per row of ``raw_d``."""
+        value = raw[..., :-1] / raw[..., -1:]
+        return value, None if raw_d is None else (raw_d[..., :-1] - value * raw_d[..., -1:]) / raw[..., -1:]
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.predict_with_derivatives(x, order=0)[0]
 
     def predict_batch(self, xs: np.ndarray) -> np.ndarray:
-        raw = self.model.predict_batch(xs)
-        return raw[:, :-1] / raw[:, -1:]
+        return self.quotient(self.model.predict_batch(xs))[0]
 
     def predict_with_derivatives(self, x: np.ndarray, order: int = 1):
         if order not in (0, 1):
             raise ValueError(f"order must be 0 or 1, got {order}")
         raw, raw_jac, _ = self.model.predict_with_derivatives(x, order=order)
-        value = raw[:-1] / raw[-1]
-        jac = None if order == 0 else (raw_jac[:-1] - np.outer(value, raw_jac[-1])) / raw[-1]
-        return value, jac, None
+        value, jac_t = self.quotient(raw, None if raw_jac is None else raw_jac.T)
+        return value, None if jac_t is None else jac_t.T, None
 
 
 def _pushforward_at_samples(
@@ -187,10 +190,9 @@ def _pushforward_at_samples(
 ) -> np.ndarray:
     """Jacobian-vector products Dphi(q_i) X(q_i) for every cloud row.
 
-    The Jacobian of phi's kernel predictor contracted with X_j reduces to
-    (K o S) @ weights with S_ji = (q_j - q_i) . X_j, over 1024-row blocks of
-    the cloud's ``kernel`` (the BLAS product's rounding depends on the
-    block's row count); the quotient rule then gives phi's row.
+    The model's Jacobian contracted with X_j reduces to (K o S) @ weights with
+    S_ji = (q_j - q_i) . X_j, over 1024-row blocks of the cloud's ``kernel``
+    (the BLAS product's rounding depends on the block's row count).
     """
     points, forces = cloud.points, cloud.forces
     weights, eps = phi.model.weights, phi.model.bandwidth_eps
@@ -203,9 +205,7 @@ def _pushforward_at_samples(
         s = np.matmul(f_blk, points.T, out=buffer[:len(f_blk)])
         np.subtract(np.sum(points[rows] * f_blk, axis=1)[:, None], s, out=s)
         s *= k_blk
-        raw, raw_dx = k_blk @ weights, -(s @ weights) / eps
-        value = raw[:, :-1] / raw[:, -1:]
-        out[rows] = (raw_dx[:, :-1] - value * raw_dx[:, -1:]) / raw[:, -1:]
+        out[rows] = phi.quotient(k_blk @ weights, -(s @ weights) / eps)[1]
     return out
 
 
@@ -356,9 +356,8 @@ def _learn_chart(problem, x: np.ndarray, cfg: DriverConfig, iteration: int):
     Attempt i samples a cloud seeded by i at ``ATTEMPT_SCALES[i]`` times
     ``perturbation_scale``; a rejection is logged at INFO on ``saddlemap``.
     """
-    full_scale = cfg.sampler.perturbation_scale
     for attempt, scale in enumerate(ATTEMPT_SCALES):
-        sampler = dataclasses.replace(cfg.sampler, perturbation_scale=scale * full_scale)
+        sampler = dataclasses.replace(cfg.sampler, perturbation_scale=scale * cfg.sampler.perturbation_scale)
         chart_cfg = dataclasses.replace(cfg, sampler=sampler)
         try:
             return build_local_chart(problem, x, chart_cfg, iteration, attempt)

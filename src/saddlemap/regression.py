@@ -17,7 +17,8 @@ import scipy.linalg
 from .errors import ChartFitError
 from .kernels import gaussian_kernel
 
-NUGGET_LADDER = (1e-8, 1e-6, 1e-4)
+# 1e-10 sits well above N * 1.1e-16, the rounding scale of a unit-diagonal N-row system
+NUGGET_LADDER = (1e-10, 1e-8, 1e-6, 1e-4)
 R2_TARGET = 0.99
 # row cap of the nugget trials
 MAX_TRIAL_POINTS = 2000

@@ -258,6 +258,17 @@ class TestChartFactorizations:
         assert self.factored_rows(monkeypatch, SPHERE, base, cfg) == [800, 1000, 800, 1000]
 
 
+class TestChartForceAtSink:
+    def test_small_at_the_exact_minimum(self):
+        # the force vanishes at the Mueller-Brown minimum, so a first chart
+        # built there leaves it only through the chart force's error; at
+        # nugget 1e-8 that error is the nugget's bias, ~1.6e-3 on this cloud
+        start = benchmarks.mb_start_point()
+        chart = build_local_chart(benchmarks.surface_problem(), start, mb_chart_cfg(5000, seed=70000))
+        assert chart.chart_force.nugget == regression.NUGGET_LADDER[0]
+        assert np.max(np.abs(chart.chart_force.predict(start))) < 5e-4
+
+
 class TestPushforwardBlocks:
     @pytest.mark.parametrize("n", [700, 2100])
     def test_equals_product_with_full_kernel_rows(self, rng, n):
