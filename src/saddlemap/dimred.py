@@ -2,10 +2,11 @@
 
 The embedding uses the density-normalized construction (alpha = 1, the
 Laplace-Beltrami limit) so geometry recovery is insensitive to nonuniform
-sampling. The stored ``kernel`` is the plain Gaussian kernel *before* any
-normalization: it is exactly the matrix a squared-exponential regressor on
-the same inputs would assemble, so it can be reused as the regression
-covariance without recomputation.
+sampling. The normalized operator is never formed: the Lanczos solve reads
+the plain Gaussian kernel through matrix-vector products with two diagonal
+scalings. So the stored ``kernel`` is left as assembled: it is exactly the
+matrix a squared-exponential regressor on the same inputs would assemble,
+and it can be reused as the regression covariance without recomputation.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
+from scipy.linalg.blas import dsymv
 
 from .errors import DegenerateChartError
 from .kernels import gaussian_kernel, squared_distances
@@ -62,6 +64,7 @@ class DiffusionMapResult:
     coordinates: np.ndarray    # (N, m)
     bandwidth_eps: float
     kernel: np.ndarray         # (N, N) pre-normalization Gaussian kernel
+    row_sums: np.ndarray       # (N,) the kernel's row sums q
 
 
 def median_bandwidth(sq: np.ndarray) -> float:
@@ -120,29 +123,25 @@ def bandwidth_median_rule(points: np.ndarray) -> float:
     return median_bandwidth(squared_distances(points, points))
 
 
-def markov_conjugate(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric conjugate of the alpha=1 Markov operator of ``kernel``.
+def conjugate_operator(kernel: np.ndarray):
+    """Symmetric conjugate S of the alpha=1 Markov operator of ``kernel``,
+    as a LinearOperator, with the kernel's row sums q and d^-1/2.
 
-    With q the kernel's row sums, K_alpha = K / (q q^T) and d its row sums,
-    returns (S, d^-1/2) for S = diag(d^-1/2) K_alpha diag(d^-1/2). S is
-    built in the kernel's own buffer, which it overwrites and which is
-    returned: each row block is divided by ``np.outer(q[rows], q)`` and,
-    once every d is known, multiplied by ``np.outer(d_isqrt[rows],
-    d_isqrt)``. Those are the entries of the full outer products, so S
-    equals the dense formula bit for bit, and it is exactly symmetric when
-    K is: each entry is a product of the same commuting factors for (i, j)
-    and (j, i).
+    With K_alpha = K / (q q^T) and d its row sums, S = diag(d^-1/2) K_alpha
+    diag(d^-1/2), so S v = s * (K (s * v)) with s = d^-1/2 / q, and
+    d = (K (1/q)) / q. S is never formed: each product is one ``dsymv``
+    that reads one triangle of the symmetric kernel through ``kernel.T``,
+    the Fortran-order view of a C-ordered kernel, so no copy is made and
+    the kernel is left as it was.
     """
     q = kernel.sum(axis=1)
-    d = np.empty_like(q)
-    blocks = [slice(start, start + _ROW_BLOCK) for start in range(0, kernel.shape[0], _ROW_BLOCK)]
-    for rows in blocks:
-        kernel[rows] /= np.outer(q[rows], q)
-        d[rows] = kernel[rows].sum(axis=1)
-    d_isqrt = 1.0 / np.sqrt(d)
-    for rows in blocks:
-        kernel[rows] *= np.outer(d_isqrt[rows], d_isqrt)
-    return kernel, d_isqrt
+    d_isqrt = 1.0 / np.sqrt(dsymv(1.0, kernel.T, 1.0 / q, lower=1) / q)
+    s = d_isqrt / q
+
+    def matvec(v):
+        return s * dsymv(1.0, kernel.T, s * np.ravel(v), lower=1)
+
+    return scipy.sparse.linalg.LinearOperator(kernel.shape, matvec=matvec, dtype=float), q, d_isqrt
 
 
 def diffusion_maps(
@@ -158,12 +157,11 @@ def diffusion_maps(
     permutation-covariant sign convention, and the embedding uses diffusion
     time 1: coordinate i = lambda_i * psi_i.
 
-    One N x N buffer carries the whole pipeline: the conjugate is built in
-    the kernel's buffer (:func:`markov_conjugate`), and after the eigensolve
-    the kernel is assembled again into the same buffer from the points,
-    equal to the first bit for bit, and returned. ``sq`` may carry the
-    points' squared-distance matrix; it is that buffer, overwritten in
-    place (see :func:`gaussian_kernel`).
+    One N x N buffer carries the whole pipeline: the kernel, which the
+    Lanczos solve reads through matrix-vector products of the conjugate
+    (:func:`conjugate_operator`) and which is returned as assembled, with its
+    row sums. ``sq`` may carry the points' squared-distance matrix; it is
+    that buffer, overwritten in place (see :func:`gaussian_kernel`).
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -172,12 +170,12 @@ def diffusion_maps(
     if not 0 < n_components < n - 1:
         raise ValueError(f"need 0 < n_components < N - 1, got {n_components} of {n}")
 
-    sym, d_isqrt = markov_conjugate(gaussian_kernel(points, points, eps, sq=sq))
+    kernel = gaussian_kernel(points, points, eps, sq=sq)
+    sym, q, d_isqrt = conjugate_operator(kernel)
 
     k_eig = n_components + 1
     v0 = np.full(n, 1.0 / np.sqrt(n))
     w, phi = scipy.sparse.linalg.eigsh(sym, k=k_eig, which="LA", v0=v0)
-    kernel = gaussian_kernel(points, points, eps, sq=squared_distances(points, points, out=sym))
     order = np.argsort(w)[::-1]
     w = w[order]
     phi = phi[:, order]
@@ -195,6 +193,7 @@ def diffusion_maps(
         coordinates=coordinates,
         bandwidth_eps=float(eps),
         kernel=kernel,
+        row_sums=q,
     )
 
 

@@ -161,7 +161,7 @@ class DiffusionExtension:
     @classmethod
     def of(cls, points: np.ndarray, dmap: DiffusionMapResult) -> DiffusionExtension:
         """The extension of every diffusion coordinate of ``dmap``."""
-        q = dmap.kernel.sum(axis=1)
+        q = dmap.row_sums
         weights = np.column_stack([dmap.eigenvectors[:, 1:], np.ones(q.size)]) / q[:, None]
         return cls(RegressorModel(np.asfortranarray(points), dmap.bandwidth_eps, 0.0, weights))
 
@@ -188,25 +188,23 @@ class DiffusionExtension:
 def _pushforward_at_samples(
     phi: DiffusionExtension, cloud: PointCloud, kernel: np.ndarray
 ) -> np.ndarray:
-    """Jacobian-vector products Dphi(q_i) X(q_i) for every cloud row.
+    """Jacobian-vector products Dphi(x_j) X(x_j) for every cloud row.
 
-    The model's Jacobian contracted with X_j reduces to (K o S) @ weights with
-    S_ji = (q_j - q_i) . X_j, over 1024-row blocks of the cloud's ``kernel``
-    (the BLAS product's rounding depends on the block's row count).
+    The model's Jacobian contracted with X_j reduces to (K o S) @ W with
+    S_ji = (x_j - x_i) . X_j, so (K o S) W = a o (K W) - sum_c X_c o (K (P_c o W))
+    with a_j = P_j . X_j: one product of the cloud's ``kernel`` with
+    [W | P_1 o W | ...], which leaves the kernel as it was. P are the points
+    less the cloud's base point, so the cancellation in the difference is at
+    the cloud's scale, not at that of the coordinates.
     """
-    points, forces = cloud.points, cloud.forces
+    centred, forces = cloud.points - cloud.base_point, cloud.forces
     weights, eps = phi.model.weights, phi.model.bandwidth_eps
-    n, block = points.shape[0], 1024
-    out = np.empty((n, weights.shape[1] - 1))
-    buffer = np.empty((min(block, n), n))  # one block-sized buffer, updated in place
-    for start in range(0, n, block):
-        rows = slice(start, start + block)
-        f_blk, k_blk = forces[rows], kernel[rows]
-        s = np.matmul(f_blk, points.T, out=buffer[:len(f_blk)])
-        np.subtract(np.sum(points[rows] * f_blk, axis=1)[:, None], s, out=s)
-        s *= k_blk
-        out[rows] = phi.quotient(k_blk @ weights, -(s @ weights) / eps)[1]
-    return out
+    n, r = weights.shape
+    scaled = (centred[:, :, None] * weights[:, None, :]).reshape(n, -1)
+    product = kernel @ np.hstack([weights, scaled])
+    raw, raw_p = product[:, :r], product[:, r:].reshape(n, -1, r)
+    k_s = np.sum(centred * forces, axis=1)[:, None] * raw - np.einsum("nc,ncr->nr", forces, raw_p)
+    return phi.quotient(raw, -k_s / eps)[1]
 
 
 def _fit_chart_map_and_force(
@@ -215,10 +213,11 @@ def _fit_chart_map_and_force(
     """phi (ambient -> chart), the chart force and the chart samples.
 
     One squared-distance matrix of the cloud gives the median bandwidth and
-    is the diffusion map's one N x N buffer, which returns the kernel in it.
-    phi, the map's own extension, is fitted by nothing: its Jacobians at 50
-    cloud points rank the components, and the pushforward reads the kernel's
-    rows. The chart-force fit then factors its full-N system in the buffer.
+    is the diffusion map's one N x N buffer, which holds the kernel from then
+    on. phi, the map's own extension, is fitted by nothing: its Jacobians at
+    50 cloud points rank the components, and the pushforward is one product
+    of the kernel. The chart-force fit then factors its full-N system in the
+    buffer.
     """
     points, n = cloud.points, cloud.size
     # the Lanczos solve needs n_components + 1 < N
@@ -251,9 +250,10 @@ def build_local_chart(
 
     The chart force and psi each factor a trial system per nugget tried and
     one full-N system. About one N x N array is live at a time: the cloud's
-    kernel, the chart force's factor in its buffer, then psi's kernel and
-    factor in one buffer. Raises DegenerateChartError / ChartFitError when
-    the chart cannot be trusted; ``_learn_chart`` then resamples.
+    kernel, which the diffusion map and the pushforward only read, the chart
+    force's factor in its buffer, then psi's kernel and factor in one
+    buffer. Raises DegenerateChartError / ChartFitError when the chart
+    cannot be trusted; ``_learn_chart`` then resamples.
     """
     cloud = sample_cloud(problem, base, cfg.sampler, _derive_seed(cfg.seed, iteration, attempt, 0))
     phi, chart_force, chart_samples = _fit_chart_map_and_force(cloud, cfg, iteration, attempt)

@@ -1,7 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,8 +12,8 @@ from saddlemap import benchmarks, dimred
 from saddlemap.dimred import (
     PointCloud,
     bandwidth_median_rule,
+    conjugate_operator,
     diffusion_maps,
-    markov_conjugate,
     median_bandwidth,
     select_chart_components,
 )
@@ -21,6 +22,16 @@ from saddlemap.errors import DegenerateChartError
 from saddlemap.kernels import gaussian_kernel, squared_distances
 from saddlemap.regression import fit
 from saddlemap.sampling import SamplerConfig, sample_cloud
+
+
+def dense_conjugate(kernel):
+    """The symmetric conjugate of the alpha=1 Markov operator as a dense
+    matrix, symmetrized, and d^-1/2: the reference for conjugate_operator."""
+    q = kernel.sum(axis=1)
+    k_alpha = kernel / np.outer(q, q)
+    d_isqrt = 1.0 / np.sqrt(k_alpha.sum(axis=1))
+    sym = k_alpha * np.outer(d_isqrt, d_isqrt)
+    return 0.5 * (sym + sym.T), d_isqrt
 
 
 def circle_points(n, radius=1.0):
@@ -89,17 +100,17 @@ class TestSharedDistances:
             assert np.array_equal(getattr(shared, name), getattr(plain, name))
 
     def test_conjugate_equals_symmetrized_dense_formula(self, rng):
-        # 700 rows span two row blocks of the in-place scaling
+        # the operator's columns are the dense conjugate's to rounding, and
+        # the kernel it reads is left as it was
         pts = rng.standard_normal((700, 3))
         kernel = gaussian_kernel(pts, pts, bandwidth_median_rule(pts))
-        q = kernel.sum(axis=1)
-        k_alpha = kernel / np.outer(q, q)
-        d_isqrt = 1.0 / np.sqrt(k_alpha.sum(axis=1))
-        sym = k_alpha * np.outer(d_isqrt, d_isqrt)
-        sym = 0.5 * (sym + sym.T)
-        got, got_d_isqrt = markov_conjugate(kernel)
-        assert np.array_equal(got, sym)
-        assert np.array_equal(got_d_isqrt, d_isqrt)
+        read = kernel.copy()
+        sym, d_isqrt = dense_conjugate(kernel)
+        op, q, got_d_isqrt = conjugate_operator(read)
+        assert np.array_equal(q, kernel.sum(axis=1))
+        assert np.max(np.abs(got_d_isqrt - d_isqrt) / d_isqrt) <= 1e-14
+        assert np.max(np.abs(op.matmat(np.eye(700)) - sym)) <= 1e-14 * np.max(sym)
+        assert np.array_equal(read, kernel)
 
 
 # clouds of 2-60 points in 1-4 dimensions, and positive bandwidths
@@ -139,33 +150,33 @@ class TestKernelSymmetryProperties:
         assert np.array_equal(block, block.T)
 
     @settings(max_examples=200, deadline=None)
-    @given(clouds, bandwidths)
-    def test_markov_conjugate_exactly_symmetric(self, pts, eps):
-        # why diffusion_maps needs no 0.5 * (S + S^T) before its eigensolve
-        sym, _ = markov_conjugate(gaussian_kernel(pts, pts, eps))
-        assert np.array_equal(sym, sym.T)
+    @given(clouds, bandwidths, st.integers(0, 2**32 - 1))
+    def test_conjugate_operator_symmetric_to_rounding(self, pts, eps, seed):
+        # the conjugate is symmetric and |S| = S has norm 1, so <Sx, y> and
+        # <x, Sy> differ only by the rounding of a symmetric product and a
+        # dot product, each of N terms: at most (2N + 3) 2^-53 |x||y| apiece
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((2, len(pts)))
+        op = conjugate_operator(gaussian_kernel(pts, pts, eps))[0]
+        gap = abs(np.dot(op.matvec(x), y) - np.dot(x, op.matvec(y)))
+        assert gap <= 4 * len(pts) * 2.0**-52 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
 def two_buffer_pipeline(pts, eps, n_components):
-    """The diffusion map with a second N x N buffer for the conjugate: the
-    full outer products and full row sums of the dense formula."""
+    """The diffusion map with a second N x N buffer for the dense conjugate,
+    solved by a dense eigh and normalized and signed as diffusion_maps does.
+    Returns the kernel, the conjugate, d^-1/2, the n_components + 2 leading
+    eigenvalues (one more than the map keeps) and the scaled eigenvectors."""
     kernel = gaussian_kernel(pts, pts, eps)
-    q = kernel.sum(axis=1)
-    sym = np.outer(q, q)
-    np.divide(kernel, sym, out=sym)
-    d_isqrt = 1.0 / np.sqrt(sym.sum(axis=1))
-    for start in range(0, sym.shape[0], 512):
-        rows = slice(start, start + 512)
-        sym[rows] *= np.outer(d_isqrt[rows], d_isqrt)
+    sym, d_isqrt = dense_conjugate(kernel)
     k = n_components + 1
     n = len(pts)
-    w, phi = scipy.sparse.linalg.eigsh(sym, k=k, which="LA", v0=np.full(n, 1.0 / np.sqrt(n)))
-    order = np.argsort(w)[::-1]
-    w, phi = w[order], phi[:, order]
+    w, phi = scipy.linalg.eigh(sym, subset_by_index=[max(n - k - 1, 0), n - 1])
+    w, phi = w[::-1], phi[:, ::-1][:, :k]
     psi = phi * d_isqrt[:, None]
     psi = psi * (np.sqrt(n) / np.linalg.norm(psi, axis=0))
     psi = psi * np.sign(psi[np.argmax(np.abs(psi), axis=0), np.arange(k)])
-    return kernel, sym, w, psi
+    return kernel, sym, d_isqrt, w, psi
 
 
 # clouds drawn from a small grid: duplicate points, zero off-diagonal
@@ -176,7 +187,7 @@ grid_clouds = st.tuples(st.integers(2, 70), st.integers(1, 3)).flatmap(
 
 
 class TestOneBufferProperties:
-    """The bitwise invariants that let a chart build keep one N x N buffer."""
+    """The invariants that let a chart build keep one N x N buffer."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.integers(1, 4), bandwidths)
@@ -223,19 +234,45 @@ class TestOneBufferProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(4, 1100), st.integers(1, 4))
     def test_diffusion_maps_equals_two_buffer_pipeline(self, seed, n, p):
-        # up to 1100 rows: three row blocks of the in-place conjugate
+        # the Lanczos solve on the kernel's operator gives the dense
+        # conjugate's eigenpairs within 1e-12, and the kernel as assembled.
+        # An eigenvector is only determined to ~2^-52 / gap (6.6e-13 apart
+        # at a gap of 3.2e-4 in 400 draws), so one with another eigenvalue
+        # within 1e-2 is held to its residual in the conjugate instead
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-1.0, 1.0, (n, p))
         eps = bandwidth_median_rule(pts)
         n_components = min(3, n - 2)
-        kernel, sym, w, psi = two_buffer_pipeline(pts, eps, n_components)
-        got_sym, _ = markov_conjugate(gaussian_kernel(pts, pts, eps))
+        kernel, sym, d_isqrt, w, psi = two_buffer_pipeline(pts, eps, n_components)
         dmap = diffusion_maps(pts, eps, n_components)
-        assert np.array_equal(got_sym, sym)
+        k = n_components + 1
         assert np.array_equal(dmap.kernel, kernel)
-        assert np.array_equal(dmap.eigenvalues, w)
-        assert np.array_equal(dmap.eigenvectors, psi)
-        assert np.array_equal(dmap.coordinates, psi[:, 1:] * w[1:])
+        assert np.array_equal(dmap.row_sums, kernel.sum(axis=1))
+        assert np.max(np.abs(dmap.eigenvalues - w[:k])) <= 1e-12
+        gaps = np.minimum(np.abs(np.diff(w, prepend=np.inf))[:k], np.abs(np.diff(w, append=-np.inf))[:k])
+        isolated = gaps >= 1e-2
+        assert np.max(np.abs(dmap.eigenvectors - psi)[:, isolated], initial=0.0) <= 1e-12
+        phi = dmap.eigenvectors / d_isqrt[:, None]
+        phi /= np.linalg.norm(phi, axis=0)
+        assert np.max(np.abs(sym @ phi - phi * dmap.eigenvalues)) <= 1e-12
+        assert np.array_equal(dmap.coordinates, dmap.eigenvectors[:, 1:] * dmap.eigenvalues[1:])
+
+    def test_diffusion_maps_allocates_no_second_buffer(self):
+        # beside the squared distances it is handed, the diffusion map
+        # allocates 0.02 N x N arrays at N = 3000; forming the conjugate in
+        # row blocks of outer products takes 0.17, and a copy of kernel.T
+        # per matrix-vector product would take a whole one
+        n = 3000
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (n, 3))
+        sq = squared_distances(pts, pts)
+        eps = median_bandwidth(sq)
+        tracemalloc.start()
+        try:
+            diffusion_maps(pts, eps, N_DMAP_COMPONENTS, sq=sq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * 8 * n * n
 
 
 def procrustes_correlations(coords, reference):
@@ -314,13 +351,8 @@ class TestDiffusionMaps:
         eps = bandwidth_median_rule(pts)
         dmap = diffusion_maps(pts, eps, N_DMAP_COMPONENTS)
 
-        sym, d_isqrt = markov_conjugate(gaussian_kernel(pts, pts, eps))
-        w, phi = scipy.linalg.eigh(sym)
-        k = N_DMAP_COMPONENTS + 1
-        w, phi = w[::-1][:k], phi[:, ::-1][:, :k]
-        psi = phi * d_isqrt[:, None]
-        psi *= np.sqrt(len(pts)) / np.linalg.norm(psi, axis=0)
-        psi *= np.sign(psi[np.argmax(np.abs(psi), axis=0), np.arange(k)])
+        _, _, _, w, psi = two_buffer_pipeline(pts, eps, N_DMAP_COMPONENTS)
+        w = w[:-1]
         assert np.max(np.abs(dmap.eigenvalues - w)) < 1e-12
         assert np.max(np.abs(dmap.coordinates - psi[:, 1:] * w[1:])) < 1e-12
 

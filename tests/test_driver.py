@@ -269,30 +269,56 @@ class TestChartForceAtSink:
         assert np.max(np.abs(chart.chart_force.predict(start))) < 5e-4
 
 
+def elementwise_pushforward(phi, cloud, kernel, dtype=float):
+    """The quotient-rule Jacobian-vector products from (K o S) W, with
+    S_ji = (x_j - x_i) . X_j, over 1024-row blocks of full kernel rows."""
+    points, forces, kernel, weights = (np.asarray(a, dtype=dtype) for a in
+                                       (cloud.points, cloud.forces, kernel, phi.model.weights))
+    n, m = len(points), weights.shape[1] - 1
+    out = np.empty((n, m), dtype=dtype)
+    for start in range(0, n, 1024):
+        rows = slice(start, start + 1024)
+        f_blk = forces[rows]
+        s = np.sum(points[rows] * f_blk, axis=1)[:, None] - f_blk @ points.T
+        raw = kernel[rows] @ weights
+        raw_dx = -((s * kernel[rows]) @ weights) / phi.model.bandwidth_eps
+        value = raw[:, :m] / raw[:, m:]
+        out[rows] = (raw_dx[:, :m] - value * raw_dx[:, m:]) / raw[:, m:]
+    return out
+
+
+def random_extension(rng, n, shift=0.0):
+    points = rng.uniform(-1.0, 1.0, (n, 3)) + shift
+    cloud = PointCloud(points=points, forces=rng.standard_normal((n, 3)), base_point=points[0])
+    weights = np.column_stack([rng.standard_normal((n, 2)), rng.uniform(0.5, 1.5, n)])
+    phi = DiffusionExtension(RegressorModel(train_inputs=np.asfortranarray(points),
+                                            bandwidth_eps=0.3, nugget=0.0, weights=weights))
+    return phi, cloud, gaussian_kernel(points, points, 0.3)
+
+
 class TestPushforwardBlocks:
     @pytest.mark.parametrize("n", [700, 2100])
     def test_equals_product_with_full_kernel_rows(self, rng, n):
-        # the in-place block buffer gives the quotient-rule product of the
-        # full kernel's row blocks bit for bit, and leaves the kernel as it was
-        points = rng.uniform(-1.0, 1.0, (n, 3))
-        cloud = PointCloud(points=points, forces=rng.standard_normal((n, 3)), base_point=points[0])
-        eps = 0.3
-        weights = np.column_stack([rng.standard_normal((n, 2)), rng.uniform(0.5, 1.5, n)])
-        phi = DiffusionExtension(RegressorModel(train_inputs=np.asfortranarray(points),
-                                                bandwidth_eps=eps, nugget=0.0, weights=weights))
-        kernel = gaussian_kernel(points, points, eps)
-        expected = np.empty((n, 2))
-        for start in range(0, n, 1024):
-            rows = slice(start, start + 1024)
-            f_blk = cloud.forces[rows]
-            s = np.sum(points[rows] * f_blk, axis=1)[:, None] - f_blk @ points.T
-            raw = kernel[rows] @ weights
-            raw_dx = -((s * kernel[rows]) @ weights) / eps
-            value = raw[:, :2] / raw[:, 2:]
-            expected[rows] = (raw_dx[:, :2] - value * raw_dx[:, 2:]) / raw[:, 2:]
+        # the one product of the kernel gives the elementwise (K o S) W of
+        # its full rows to rounding, and leaves the kernel as it was
+        phi, cloud, kernel = random_extension(rng, n)
+        expected = elementwise_pushforward(phi, cloud, kernel)
         read = kernel.copy()
-        assert np.array_equal(_pushforward_at_samples(phi, cloud, read), expected)
+        got = _pushforward_at_samples(phi, cloud, read)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.array_equal(read, kernel)
+
+    def test_centred_product_on_a_translated_cloud(self, rng):
+        # 1e3 from the origin, a o (K W) - sum_c X_c o (K (P_c o W)) would
+        # cancel 1e3-sized terms. Centred at the base point, P is exact by
+        # Sterbenz's lemma, and the product is 4.3e-15 (relative) from the
+        # elementwise formula in extended precision. Centred at the origin
+        # instead it is 5.0e-12 off, and the float64 elementwise formula,
+        # which cancels too, 3.6e-13
+        phi, cloud, kernel = random_extension(rng, 700, shift=1e3)
+        expected = elementwise_pushforward(phi, cloud, kernel, dtype=np.longdouble)
+        got = _pushforward_at_samples(phi, cloud, kernel)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def small_cloud_extension(seed, n, dim):
