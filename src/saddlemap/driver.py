@@ -174,9 +174,6 @@ class DiffusionExtension:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.predict_with_derivatives(x, order=0)[0]
 
-    def predict_batch(self, xs: np.ndarray) -> np.ndarray:
-        return self.quotient(self.model.predict_batch(xs))[0]
-
     def predict_with_derivatives(self, x: np.ndarray, order: int = 1):
         if order not in (0, 1):
             raise ValueError(f"order must be 0 or 1, got {order}")
@@ -308,18 +305,16 @@ def integrate_isd_on_chart(
         spectrum=np.array([]),
         exit_reason=EXIT_STEP_BUDGET,
     )
-    prev_v = None
     anchor, anchor_clearance = None, 0.0
     for step in range(cfg.n_ode_steps + 1):
         try:
             if not np.abs(u).max() <= 1e8:  # a NaN fails too
                 raise DegenerateChartError(f"chart coordinates diverged at step {step}")
             geo = chart.evaluate(u)
-            lam, v, spectrum = smallest_eigpair(geo.hessian, geo.metric, prev_v=prev_v)
+            lam, v, spectrum = smallest_eigpair(geo.hessian, geo.metric)
         except (DegenerateChartError, NonFiniteEvaluationError):
             record.exit_reason = EXIT_DEGENERATE
             break
-        prev_v = v
         g, y, x_amb = geo.metric, geo.force, geo.ambient
         force_norm = g.norm(y)
         record.chart_trajectory.append(u.copy())

@@ -37,10 +37,6 @@ class MetricTensor:
     g: np.ndarray
     g_inv: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.g.shape[0]
-
     def inner(self, a: Vector, b: Vector) -> float:
         """g-inner product of two tangent vectors."""
         return float(a @ self.g @ b)
@@ -211,18 +207,13 @@ def covariant_hessian(g: MetricTensor, gamma: np.ndarray, y: Vector, dy: np.ndar
     return 0.5 * (h + h.T)
 
 
-def smallest_eigpair(
-    h: np.ndarray,
-    g: MetricTensor,
-    prev_v: Optional[Vector] = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
+def smallest_eigpair(h: np.ndarray, g: MetricTensor) -> tuple[float, np.ndarray, np.ndarray]:
     """Smallest eigenpair of the generalized problem h v = lambda g v, h the (0,2) Hessian.
 
     Returns (lambda_min, v, spectrum) with v normalized so g(v, v) = 1 and
-    the spectrum sorted ascending. The sign of v is chosen to maximize the
-    g-inner product with ``prev_v`` (continuity across integration steps);
-    without a previous direction the first component of significant
-    magnitude is made positive.
+    the spectrum sorted ascending. v keeps the sign dsygvd returns, which is
+    fixed for given inputs at a fixed BLAS thread count; no step reads it,
+    since :func:`isd_field` reflects across V and -V alike.
 
     Calls LAPACK's dsygvd directly, the routine ``scipy.linalg.eigh(h, g.g)``
     runs, without eigh's argument checks. Raises DegenerateChartError when
@@ -235,24 +226,16 @@ def smallest_eigpair(
     if not math.isfinite(w[0]):
         raise NonFiniteEvaluationError("non-finite generalized eigenvalue")
     v = vecs[:, 0]
-    # dsygvd (itype=1) returns g-orthonormal eigenvectors, i.e. already
-    # g(v, v) = 1; renormalize anyway to pin the contract.
-    v = v / np.sqrt(g.inner(v, v))
-    if prev_v is not None:
-        if g.inner(v, np.asarray(prev_v, dtype=float)) < 0.0:
-            v = -v
-    else:
-        nz = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
-        if nz.size and v[nz[0]] < 0.0:
-            v = -v
-    return float(w[0]), v, w
+    # dsygvd (itype=1) already returns g(v, v) = 1; renormalize to pin the contract
+    return float(w[0]), v / np.sqrt(g.inner(v, v)), w
 
 
 def isd_field(x_force: Vector, v: Vector, g: MetricTensor) -> Vector:
     """Idealized saddle dynamics field: reflect the force across the soft mode.
 
     X_hat = X - 2 g(V, X) V with g(V, V) = 1. Index-1 saddles of the gradient
-    system become stable equilibria of X_hat.
+    system become stable equilibria of X_hat. X_hat is the same for V and -V
+    bit for bit, since negating V negates g(V, X) exactly.
     """
     x_force = _as_vector(x_force)
     v = _as_vector(v)

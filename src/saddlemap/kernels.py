@@ -11,18 +11,17 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 
-def squared_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matrix of squared Euclidean distances ||x_i - y_j||^2.
 
     cdist evaluates each entry from x_i and y_j alone, with the same
     summation order for (i, j) and (j, i): the matrix of a set against
     itself is exactly symmetric, and the matrix of row and column subsets
-    equals the matching submatrix bit for bit. ``out`` may name a C-ordered
-    float buffer of the result's shape to write into.
+    equals the matching submatrix bit for bit.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    return cdist(x, y, "sqeuclidean", out=out)
+    return cdist(x, y, "sqeuclidean")
 
 
 def gaussian_kernel(

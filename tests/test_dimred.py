@@ -34,6 +34,25 @@ def dense_conjugate(kernel):
     return 0.5 * (sym + sym.T), d_isqrt
 
 
+class CountingRows(np.ndarray):
+    """A matrix view that counts the passes median_bandwidth makes over it:
+    each pass reads the row blocks from row 0 on."""
+
+    passes = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and key.start == 0:
+            type(self).passes += 1
+        return super().__getitem__(key)
+
+
+def median_and_passes(sq):
+    """median_bandwidth(sq) and the number of passes it made over sq."""
+    CountingRows.passes = 0
+    eps = median_bandwidth(sq.view(CountingRows))
+    return eps, CountingRows.passes
+
+
 def circle_points(n, radius=1.0):
     theta = 2.0 * np.pi * np.arange(n) / n
     return np.column_stack([radius * np.cos(theta), radius * np.sin(theta)]), theta
@@ -70,13 +89,35 @@ class TestBandwidthMedianRule:
 
 
 class TestSharedDistances:
-    # 15 and 1225 pairs (odd count), 10 and 820 pairs (even count)
-    @pytest.mark.parametrize("n", [6, 50, 5, 41])
+    # 15 and 1225 pairs (odd count), 10 and 820 pairs (even count); at 700
+    # points the strided sample misses a middle rank, and the bracket is
+    # widened and the matrix passed over again
+    @pytest.mark.parametrize("n", [6, 50, 5, 41, 700])
     def test_median_equals_pdist_median_bitwise(self, rng, n):
         pts = rng.standard_normal((n, 3))
         expected = float(np.median(pdist(pts)) ** 2)
-        assert median_bandwidth(squared_distances(pts, pts)) == expected
+        eps, passes = median_and_passes(squared_distances(pts, pts))
+        assert eps == expected
+        assert (passes > 1) == (n == 700)
         assert bandwidth_median_rule(pts) == expected
+
+    def test_median_when_every_sampled_entry_is_an_outlier(self, rng):
+        # a symmetric, zero-diagonal matrix whose strided-sample entries and
+        # their mirrors are 100: every bracket the sample gives lies above
+        # the middle ranks until it has been widened
+        n = 600
+        upper = np.triu(rng.uniform(size=(n, n)), 1)
+        sq = upper + upper.T
+        i, j = np.unravel_index(np.arange(0, sq.size, sq.size // dimred._MEDIAN_SAMPLE), sq.shape)
+        off = i != j
+        sq[i[off], j[off]] = sq[j[off], i[off]] = 100.0
+        # 179700 pairs, an even count: the middle pair of the strict upper
+        # triangle, its square roots averaged and squared
+        pairs = np.sort(sq[np.triu_indices(n, 1)])
+        middle = pairs[[pairs.size // 2 - 1, pairs.size // 2]]
+        eps, passes = median_and_passes(sq)
+        assert passes > 1
+        assert eps == float(np.mean(np.sqrt(middle)) ** 2)
 
     def test_kernel_overwrites_distances_bitwise(self, rng):
         pts = rng.standard_normal((30, 2))

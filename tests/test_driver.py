@@ -113,7 +113,7 @@ class TestBuildLocalChart:
     def test_phi_fits_samples(self):
         base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
         local = build_local_chart(SPHERE, base, small_cfg())
-        pred = local.phi.predict_batch(local.cloud.points)
+        pred = np.array([local.phi.predict(x) for x in local.cloud.points])
         err = np.max(np.abs(pred - local.psi.train_inputs))
         scale = np.max(np.abs(local.psi.train_inputs))
         assert err < 1e-3 * scale
@@ -137,7 +137,7 @@ class TestBuildLocalChart:
         base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
         local = build_local_chart(SPHERE, base, small_cfg())
         pts = local.cloud.points
-        back = local.psi.predict_batch(local.phi.predict_batch(pts))
+        back = local.psi.predict_batch(np.array([local.phi.predict(x) for x in pts]))
         err = np.linalg.norm(back - pts, axis=1)
         diam = np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1)) * 2.0
         assert np.mean(err < 0.05 * diam) >= 0.95
@@ -339,9 +339,8 @@ class TestDiffusionExtension:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 120), dim=st.integers(2, 3))
     def test_reproduces_coordinates_at_cloud_points(self, seed, n, dim):
         cloud, dmap, ext = small_cloud_extension(seed, n, dim)
-        assert np.max(np.abs(ext.predict_batch(cloud.points) - dmap.coordinates)) <= 1e-12
-        for i in (0, n // 2, n - 1):
-            assert np.max(np.abs(ext.predict(cloud.points[i]) - dmap.coordinates[i])) <= 1e-12
+        for x, coordinates in zip(cloud.points, dmap.coordinates):
+            assert np.max(np.abs(ext.predict(x) - coordinates)) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 120), dim=st.integers(2, 3))
@@ -450,6 +449,32 @@ class TestLearnedStep:
                    for x in rec.ambient_trajectory]
         assert outside == [False] * (len(outside) - 1) + [True]
         assert 1 < len(queries) < len(outside) // 5
+
+
+class TestSoftModeSign:
+    def test_negated_soft_mode_gives_the_same_records(self, monkeypatch):
+        # the reflection is the same vector for V and -V, so a learned chart
+        # integrated with every soft mode negated must give the same records
+        # bit for bit; this fails once a step starts to read V's sign
+        cfg = small_cfg(sampler=SamplerConfig(n_samples=300, perturbation_scale=0.15),
+                        n_ode_steps=300, ode_dt=1e-3)
+        base = benchmarks.sphere_project(np.array([1.0, 1.0, -1.0]))
+        local = build_local_chart(SPHERE, base, cfg)
+        u0 = local.to_chart(base)
+        plain = integrate_isd_on_chart(local, u0, cfg)
+        eigpair = driver.smallest_eigpair
+
+        def negated(*args, **kwargs):
+            lam, v, spectrum = eigpair(*args, **kwargs)
+            return lam, -v, spectrum
+
+        monkeypatch.setattr(driver, "smallest_eigpair", negated)
+        flipped = integrate_isd_on_chart(local, u0, cfg)
+        assert len(plain.chart_trajectory) == 301
+        assert flipped.exit_reason == plain.exit_reason
+        for name in ("chart_trajectory", "ambient_trajectory", "step_force_norms",
+                     "step_lambda_mins", "spectrum"):
+            assert np.array_equal(getattr(flipped, name), getattr(plain, name))
 
 
 class TestRunSearch:
