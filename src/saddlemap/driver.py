@@ -334,7 +334,13 @@ def integrate_isd_on_chart(
         if step == cfg.n_ode_steps:
             record.exit_reason = EXIT_STEP_BUDGET
             break
-        u = u + cfg.ode_dt * isd_field(y, v, g)
+        try:
+            u = u + cfg.ode_dt * isd_field(y, v, g)
+        except ValueError:
+            # rounding alone can miss g(v, v) = 1 at a metric of condition near
+            # metric_from_jacobian's 1e14 cap: degenerate, as a rank-deficient one
+            record.exit_reason = EXIT_DEGENERATE
+            break
     if not record.chart_trajectory:
         # a placeholder row, so every record has one entry per row in all four lists
         record.chart_trajectory.append(u.copy())

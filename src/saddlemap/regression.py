@@ -2,9 +2,9 @@
 
 A chart fits psi (chart -> ambient) and the chart force; phi predicts through
 a RegressorModel with the diffusion map's weights. Prediction is mean-only:
-the models are smooth interpolants, never uncertainty estimates. A fit
-assembles each kernel block it reads from its input rows; a full kernel
-handed over only lends the winning nugget's full system its buffer.
+the models are smooth interpolants, never uncertainty estimates. Every
+kernel a fit factors is its own: one it assembles from its input rows, or
+one handed over, and either is factored in its buffer.
 """
 from __future__ import annotations
 
@@ -87,14 +87,13 @@ def fit(
     eps: float,
     nugget: float,
     reuse_kernel: Optional[np.ndarray] = None,
-    factorization=None,
 ) -> RegressorModel:
     """Solve (K + nugget I) w = targets for the regression weights.
 
-    ``reuse_kernel`` is the Gaussian kernel of the same inputs and bandwidth,
-    taken as given (only its shape is checked) and left unchanged; a kernel
-    assembled here is factored in its own buffer. With ``factorization``, the
-    Cholesky factor of (K + nugget I), no kernel is assembled at all.
+    ``reuse_kernel`` is the C-ordered Gaussian kernel of the same inputs and
+    bandwidth, taken as given (only its shape is checked) in place of one
+    assembled here, and handed over: like an assembled kernel it is factored
+    in its own buffer, which the caller must not read afterwards.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.asarray(targets, dtype=float)
@@ -106,16 +105,14 @@ def fit(
         raise ValueError(f"nugget must be nonnegative, got {nugget}")
     if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
         raise ValueError("inputs and targets must be finite")
-    if reuse_kernel is not None:
+    if reuse_kernel is None:
+        kernel = gaussian_kernel(inputs, inputs, eps)
+    else:
         kernel = np.asarray(reuse_kernel, dtype=float)
         n = inputs.shape[0]
         if kernel.shape != (n, n):
             raise ValueError(f"reuse_kernel has shape {kernel.shape}, expected {(n, n)}")
-    elif factorization is None:
-        kernel = gaussian_kernel(inputs, inputs, eps)
-    if factorization is None:
-        factorization = kernel_factorization(kernel, nugget, overwrite_kernel=reuse_kernel is None)
-    weights = scipy.linalg.cho_solve(factorization, targets, check_finite=False)
+    weights = scipy.linalg.cho_solve(kernel_factorization(kernel, nugget), targets, check_finite=False)
     # column-major: predict_with_derivatives sums diff * diff over p down
     # contiguous columns instead of along short rows, in the same order, and
     # takes the (N, p^2) outer products of its second derivative as a
@@ -132,23 +129,20 @@ def fit(
     )
 
 
-def kernel_factorization(kernel: np.ndarray, nugget: float, overwrite_kernel: bool = False):
+def kernel_factorization(kernel: np.ndarray, nugget: float):
     """Cholesky factorization of (K + nugget I), reusable across targets.
 
     ``kernel`` must equal its own transpose exactly, as every Gaussian
-    self-kernel does. The factor overwrites a Fortran-order array of
-    ``kernel.T`` with the nugget added to its diagonal. By default that
-    array is a copy: for a C-ordered kernel a straight copy, not a
-    transposing one, holding the same values. With ``overwrite_kernel``
-    (scipy's ``overwrite_a`` idiom) it is ``kernel.T`` itself, a
-    Fortran-order view of a C-ordered kernel, so the factor takes the
-    kernel's buffer and no N x N copy is made; the kernel must not be read
-    afterwards. Off the diagonal k + 0 = k, so the factor
-    equals that of ``K + nugget * np.eye(n)`` bit for bit either way.
+    self-kernel does. The factor overwrites ``kernel.T``, a Fortran-order
+    view of a C-ordered kernel, with the nugget added to its diagonal
+    (scipy's ``overwrite_a`` idiom): it takes the kernel's buffer, no N x N
+    copy is made, and the kernel must not be read afterwards. Off the
+    diagonal k + 0 = k, so the factor equals that of
+    ``K + nugget * np.eye(n)`` bit for bit.
     A NaN or inf in the triangle read reaches its row's diagonal in the
     factor, or stays in the system if factoring stops: ValueError either way.
     """
-    system = kernel.T if overwrite_kernel else np.array(kernel.T, dtype=float, order="F")
+    system = kernel.T
     diag = np.arange(system.shape[0])
     system[diag, diag] += nugget
     try:
@@ -207,8 +201,9 @@ def fit_with_nugget_selection(
     """Fit with the smallest nugget whose held-out R^2 reaches R2_TARGET.
 
     Trial fits run on an 80/20 split of at most ``MAX_TRIAL_POINTS`` rows:
-    each trains on the kernel of the training rows and is scored by its
-    held-out predictions. The winning nugget is then refit on all rows.
+    each assembles the kernel of its training rows, factors it in that
+    buffer and is scored by its held-out predictions. The winning nugget is
+    then refit on all rows.
 
     ``kernel`` is the C-ordered Gaussian kernel of ``inputs`` at ``eps``,
     taken as given and handed over: the winning nugget's full system is
@@ -226,10 +221,9 @@ def fit_with_nugget_selection(
     tr, te = holdout_split(trial_idx.size, rng)
     tr, te = trial_idx[tr], trial_idx[te]
 
-    trial_kernel = gaussian_kernel(inputs[tr], inputs[tr], eps)
     for nugget in NUGGET_LADDER:
         try:
-            model = fit(inputs[tr], targets[tr], eps, nugget, reuse_kernel=trial_kernel)
+            model = fit(inputs[tr], targets[tr], eps, nugget)
         except ChartFitError:
             continue
         try:
@@ -240,6 +234,4 @@ def fit_with_nugget_selection(
             break
     else:
         raise ChartFitError(f"no nugget in {NUGGET_LADDER} reaches held-out R^2 >= {R2_TARGET}")
-    del trial_kernel  # not kept beside the full system
-    factorization = kernel_factorization(kernel, nugget, overwrite_kernel=True)
-    return fit(inputs, targets, eps, nugget, factorization=factorization), r2
+    return fit(inputs, targets, eps, nugget, reuse_kernel=kernel), r2

@@ -179,7 +179,7 @@ class TestKernelSymmetryProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(4, 80), st.integers(1, 4))
     def test_diffusion_map_kernel_and_slices_exactly_symmetric(self, seed, n, p):
-        # regression.kernel_factorization copies kernel.T in place of the
+        # regression.kernel_factorization factors kernel.T in place of the
         # kernel: this is the invariant it rests on
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-1.0, 1.0, (n, p))

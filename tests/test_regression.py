@@ -41,29 +41,34 @@ class TestFit:
         without = fit(x, x[:, :2], eps, 1e-8)
         assert np.array_equal(with_reuse.weights, without.weights)
 
-    def test_reused_kernel_left_unchanged(self, rng):
-        # the nugget trials hand one trial kernel to every nugget's fit
+    def test_reused_kernel_factored_without_copy(self, rng, monkeypatch):
+        # a kernel handed over is the one factored: no N x N copy is made
         x = rng.uniform(-1, 1, (40, 2))
         kernel = gaussian_kernel(x, x, 0.4)
-        before = kernel.copy()
-        for nugget in NUGGET_LADDER:
-            fit(x, x[:, :1], 0.4, nugget, reuse_kernel=kernel)
-        assert np.array_equal(kernel, before)
+        handed = []
+        factor = regression.kernel_factorization
+        monkeypatch.setattr(regression, "kernel_factorization",
+                            lambda k, nugget: handed.append(k) or factor(k, nugget))
+        fit(x, x[:, :1], 0.4, 1e-8, reuse_kernel=kernel)
+        assert len(handed) == 1 and handed[0] is kernel
 
     def test_only_own_kernel_factored_in_place(self, rng, monkeypatch):
+        # an assembled kernel and one handed over are both the fit's own,
+        # factored in their buffers, with the same weights
         x = rng.uniform(-1, 1, (40, 2))
         kernel = gaussian_kernel(x, x, 0.4)
-        overwrites = []
+        in_place = []
         factor = regression.kernel_factorization
 
-        def recording(kernel, nugget, overwrite_kernel=False):
-            overwrites.append(overwrite_kernel)
-            return factor(kernel, nugget, overwrite_kernel=overwrite_kernel)
+        def recording(kernel, nugget):
+            result = factor(kernel, nugget)
+            in_place.append(np.shares_memory(result[0], kernel))
+            return result
 
         monkeypatch.setattr(regression, "kernel_factorization", recording)
         own = fit(x, x[:, :1], 0.4, 1e-8)
         reused = fit(x, x[:, :1], 0.4, 1e-8, reuse_kernel=kernel)
-        assert overwrites == [True, False]
+        assert in_place == [True, True]
         assert np.array_equal(own.weights, reused.weights)
 
     def test_duplicate_inputs_zero_nugget_raises(self):
@@ -109,25 +114,24 @@ class TestFactorization:
     def test_equals_factor_of_dense_sum_bitwise(self, rng):
         x = rng.uniform(-1, 1, (40, 3))
         kernel = gaussian_kernel(x, x, bandwidth_median_rule(x))
-        before = kernel.copy()
         for nugget in (1e-8, 1e-6, 1e-4):
-            factor, lower = kernel_factorization(kernel, nugget)
+            # the factor takes the buffer of the kernel it is handed
+            factor, lower = kernel_factorization(kernel.copy(), nugget)
             expected, _ = scipy.linalg.cho_factor(kernel + nugget * np.eye(40), lower=True)
             assert lower
             assert np.array_equal(factor, expected)
-        assert np.array_equal(kernel, before)  # only its copy is overwritten
 
-    def test_fit_with_factorization_assembles_no_kernel(self, rng, monkeypatch):
+    def test_fit_with_reuse_kernel_assembles_no_kernel(self, rng, monkeypatch):
         x = rng.uniform(-1, 1, (40, 3))
         eps = bandwidth_median_rule(x)
-        factorization = kernel_factorization(gaussian_kernel(x, x, eps), 1e-6)
+        kernel = gaussian_kernel(x, x, eps)
         expected = fit(x, x[:, :2], eps, 1e-6)
         calls = []
         assemble = regression.gaussian_kernel
         monkeypatch.setattr(
             regression, "gaussian_kernel", lambda *a, **k: calls.append(a) or assemble(*a, **k)
         )
-        model = fit(x, x[:, :2], eps, 1e-6, factorization=factorization)
+        model = fit(x, x[:, :2], eps, 1e-6, reuse_kernel=kernel)
         assert len(calls) == 0
         assert np.array_equal(model.weights, expected.weights)
 
@@ -280,6 +284,32 @@ class TestNuggetSelection:
         with pytest.raises(ChartFitError):
             fit_with_nugget_selection(x, noise, 1e-6, rng, gaussian_kernel(x, x, 1e-6))
 
+    def test_each_rung_factors_its_own_trial_kernel(self, rng, monkeypatch):
+        # the noise target fails every rung; each assembles its square trial
+        # kernel and factors that buffer, so no trial kernel is copied
+        x = rng.uniform(-1, 1, (60, 1))
+        noise = rng.standard_normal((60, 1))
+        assembled, factored = [], []
+        assemble, factor = regression.gaussian_kernel, regression.kernel_factorization
+        monkeypatch.setattr(regression, "gaussian_kernel",
+                            lambda *a, **k: assembled.append(assemble(*a, **k)) or assembled[-1])
+
+        def recording(kernel, nugget):
+            result = factor(kernel, nugget)
+            factored.append((kernel, result[0]))
+            return result
+
+        monkeypatch.setattr(regression, "kernel_factorization", recording)
+        with pytest.raises(ChartFitError):
+            fit_with_nugget_selection(x, noise, 1e-6, rng, gaussian_kernel(x, x, 1e-6))
+        # the rest are the held-out predictions' rectangular blocks
+        square = [k for k in assembled if k.shape[0] == k.shape[1]]
+        n_train = 60 - round(regression.HOLDOUT_FRACTION * 60)
+        assert [k.shape for k in square] == [(n_train, n_train)] * len(NUGGET_LADDER)
+        assert len(factored) == len(NUGGET_LADDER)
+        for kernel, (handed, factor_array) in zip(square, factored):
+            assert handed is kernel and np.shares_memory(factor_array, kernel)
+
 
 class TestChartMapFits:
     def test_fit_contract(self, rng):
@@ -344,8 +374,9 @@ class TestLayoutBitwise:
     @settings(max_examples=100, deadline=None)
     @given(seeds, st.integers(2, 150), st.integers(1, 4), st.sampled_from(NUGGET_LADDER))
     def test_factor_equals_factor_of_transposing_copy(self, seed, n, p, nugget):
-        # the copying factor, and the in-place one of a C-ordered kernel (a
-        # full kernel or an np.ix_ subset copy) that takes its buffer
+        # the in-place factor of a C-ordered kernel (a full kernel or an
+        # np.ix_ subset copy) takes its buffer and equals the factor of a
+        # transposing copy
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, (n, p))
         kernel = gaussian_kernel(x, x, bandwidth_median_rule(x))
@@ -354,20 +385,16 @@ class TestLayoutBitwise:
             # the Fortran-order copy of K itself transposes a C-ordered K
             system = np.array(k, dtype=float, order="F")
             system[np.diag_indices(k.shape[0])] += nugget
-            own = k.copy()
             try:
                 expected, _ = scipy.linalg.cho_factor(system, lower=True, overwrite_a=True)
             except scipy.linalg.LinAlgError:
-                for overwrite in (False, True):
-                    with pytest.raises(ChartFitError):
-                        kernel_factorization(own, nugget, overwrite_kernel=overwrite)
+                with pytest.raises(ChartFitError):
+                    kernel_factorization(k, nugget)
                 continue
-            factor, lower = kernel_factorization(k, nugget)
-            in_place, in_place_lower = kernel_factorization(own, nugget, overwrite_kernel=True)
-            assert lower and in_place_lower
-            assert np.array_equal(factor, expected)
+            in_place, lower = kernel_factorization(k, nugget)
+            assert lower
             assert np.array_equal(in_place, expected)
-            assert np.shares_memory(in_place, own)  # no copy was made
+            assert np.shares_memory(in_place, k)  # no copy was made
 
 
 def reference_prediction(model: RegressorModel, x: np.ndarray):
